@@ -1,6 +1,10 @@
 #include "proto/http.h"
 
+#include <algorithm>
 #include <charconv>
+#include <cstring>
+#include <string_view>
+#include <utility>
 
 namespace pvn {
 namespace {
@@ -30,6 +34,19 @@ void append_headers(
     out += "Content-Length: " + std::to_string(body_size) + "\r\n";
   }
   out += "\r\n";
+}
+
+// The wire form of a message: start line, headers, blank line, body, in one
+// buffer sized once.
+Bytes frame(std::string head,
+            const std::vector<std::pair<std::string, std::string>>& headers,
+            const Bytes& body) {
+  append_headers(head, headers, body.size());
+  Bytes raw;
+  raw.reserve(head.size() + body.size());
+  raw.insert(raw.end(), head.begin(), head.end());
+  raw.insert(raw.end(), body.begin(), body.end());
+  return raw;
 }
 
 }  // namespace
@@ -63,105 +80,132 @@ void HttpResponse::set_header(const std::string& name,
 }
 
 Bytes HttpRequest::serialize() const {
-  std::string out = method + " " + path + " HTTP/1.1\r\n";
-  append_headers(out, headers, body.size());
-  Bytes raw = to_bytes(out);
-  raw.insert(raw.end(), body.begin(), body.end());
-  return raw;
+  return frame(method + " " + path + " HTTP/1.1\r\n", headers, body);
 }
 
 Bytes HttpResponse::serialize() const {
-  std::string out =
-      "HTTP/1.1 " + std::to_string(status) + " " + reason + "\r\n";
-  append_headers(out, headers, body.size());
-  Bytes raw = to_bytes(out);
-  raw.insert(raw.end(), body.begin(), body.end());
-  return raw;
+  return frame("HTTP/1.1 " + std::to_string(status) + " " + reason + "\r\n",
+               headers, body);
 }
 
 void HttpParser::feed(const Bytes& chunk) {
-  if (error_) return;
-  buf_.append(chunk.begin(), chunk.end());
-  while (try_parse_one()) {
+  const std::uint8_t* p = chunk.data();
+  std::size_t n = chunk.size();
+  while (!error_) {
+    if (in_body_) {
+      Bytes& body = kind_ == Kind::kRequest ? req_.body : resp_.body;
+      const std::size_t take = std::min(n, body_left_);
+      body.insert(body.end(), p, p + take);
+      p += take;
+      n -= take;
+      body_left_ -= take;
+      if (body_left_ > 0) return;
+      emit();
+      continue;
+    }
+    if (n == 0) return;
+    const std::size_t head_bytes = head_bytes_in(p, n);
+    if (head_bytes == std::string::npos) {
+      buf_.append(p, p + n);
+      return;
+    }
+    buf_.append(p, p + head_bytes);
+    p += head_bytes;
+    n -= head_bytes;
+    parse_head();
   }
 }
 
-std::size_t HttpParser::partial_body_bytes() const {
-  const auto head_end = buf_.find("\r\n\r\n");
-  if (head_end == std::string::npos) return 0;
-  return buf_.size() - (head_end + 4);
+// How many bytes of [p, p + n) complete the pending head, or npos if its
+// "\r\n\r\n" is not among them. buf_ never holds a whole terminator, so one
+// that starts in buf_'s last three bytes ends within the chunk's first three.
+std::size_t HttpParser::head_bytes_in(const std::uint8_t* p,
+                                      std::size_t n) const {
+  constexpr std::string_view kHeadEnd = "\r\n\r\n";
+  const std::size_t tail = std::min<std::size_t>(buf_.size(), 3);
+  if (tail > 0) {
+    char window[6];
+    const std::size_t from_chunk = std::min<std::size_t>(n, 3);
+    std::memcpy(window, buf_.data() + buf_.size() - tail, tail);
+    std::memcpy(window + tail, p, from_chunk);
+    const auto at = std::string_view(window, tail + from_chunk).find(kHeadEnd);
+    if (at != std::string_view::npos) return at + kHeadEnd.size() - tail;
+  }
+  const auto at =
+      std::string_view(reinterpret_cast<const char*>(p), n).find(kHeadEnd);
+  return at == std::string_view::npos ? std::string::npos
+                                      : at + kHeadEnd.size();
 }
 
-bool HttpParser::try_parse_one() {
-  const auto head_end = buf_.find("\r\n\r\n");
-  if (head_end == std::string::npos) return false;
-  const std::string head = buf_.substr(0, head_end);
-
-  // Parse status/request line + headers.
+// Parses the head in buf_ (terminator included) into req_ or resp_, which
+// emit() left default-constructed, empties buf_ and starts the body. Sets
+// error_ on a malformed head.
+void HttpParser::parse_head() {
+  const std::string_view head(buf_.data(), buf_.size() - 4);
   std::vector<std::pair<std::string, std::string>> headers;
-  std::size_t line_start = head.find("\r\n");
-  std::string first_line =
-      head.substr(0, line_start == std::string::npos ? head.size() : line_start);
-  std::size_t content_length = 0;
-  if (line_start != std::string::npos) {
+  const std::size_t line_start = head.find("\r\n");
+  const std::string first_line(head.substr(0, line_start));
+  if (line_start != std::string_view::npos) {
     std::size_t pos = line_start + 2;
     while (pos < head.size()) {
       std::size_t eol = head.find("\r\n", pos);
-      if (eol == std::string::npos) eol = head.size();
-      const std::string line = head.substr(pos, eol - pos);
+      if (eol == std::string_view::npos) eol = head.size();
+      const std::string_view line = head.substr(pos, eol - pos);
       const auto colon = line.find(": ");
-      if (colon == std::string::npos) {
+      if (colon == std::string_view::npos) {
         error_ = true;
-        return false;
+        return;
       }
       headers.emplace_back(line.substr(0, colon), line.substr(colon + 2));
       pos = eol + 2;
     }
   }
+  std::size_t content_length = 0;
   if (const std::string* cl = find_header(headers, "Content-Length")) {
-    std::size_t v = 0;
-    const auto [p, ec] = std::from_chars(cl->data(), cl->data() + cl->size(), v);
-    if (ec != std::errc() || p != cl->data() + cl->size()) {
+    const auto [p, ec] =
+        std::from_chars(cl->data(), cl->data() + cl->size(), content_length);
+    if (ec != std::errc() || p != cl->data() + cl->size() ||
+        content_length > kMaxContentLength) {
       error_ = true;
-      return false;
+      return;
     }
-    content_length = v;
   }
 
-  const std::size_t total = head_end + 4 + content_length;
-  if (buf_.size() < total) return false;
-  Bytes body(buf_.begin() + static_cast<std::ptrdiff_t>(head_end + 4),
-             buf_.begin() + static_cast<std::ptrdiff_t>(total));
-  buf_.erase(0, total);
-
+  const auto sp1 = first_line.find(' ');
   if (kind_ == Kind::kRequest) {
-    HttpRequest req;
-    const auto sp1 = first_line.find(' ');
     const auto sp2 = first_line.find(' ', sp1 + 1);
     if (sp1 == std::string::npos || sp2 == std::string::npos) {
       error_ = true;
-      return false;
+      return;
     }
-    req.method = first_line.substr(0, sp1);
-    req.path = first_line.substr(sp1 + 1, sp2 - sp1 - 1);
-    req.headers = std::move(headers);
-    req.body = std::move(body);
-    if (on_request_) on_request_(std::move(req));
+    req_.method = first_line.substr(0, sp1);
+    req_.path = first_line.substr(sp1 + 1, sp2 - sp1 - 1);
+    req_.headers = std::move(headers);
   } else {
-    HttpResponse resp;
-    const auto sp1 = first_line.find(' ');
     if (sp1 == std::string::npos) {
       error_ = true;
-      return false;
+      return;
     }
     const auto sp2 = first_line.find(' ', sp1 + 1);
-    resp.status = std::atoi(first_line.c_str() + sp1 + 1);
-    resp.reason = sp2 == std::string::npos ? "" : first_line.substr(sp2 + 1);
-    resp.headers = std::move(headers);
-    resp.body = std::move(body);
+    resp_.status = std::atoi(first_line.c_str() + sp1 + 1);
+    resp_.reason = sp2 == std::string::npos ? "" : first_line.substr(sp2 + 1);
+    resp_.headers = std::move(headers);
+  }
+  buf_.clear();
+  (kind_ == Kind::kRequest ? req_.body : resp_.body).reserve(content_length);
+  body_left_ = content_length;
+  in_body_ = true;
+}
+
+void HttpParser::emit() {
+  in_body_ = false;
+  if (kind_ == Kind::kRequest) {
+    HttpRequest req = std::exchange(req_, HttpRequest{});
+    if (on_request_) on_request_(std::move(req));
+  } else {
+    HttpResponse resp = std::exchange(resp_, HttpResponse{});
     if (on_response_) on_response_(std::move(resp));
   }
-  return true;
 }
 
 HttpResponse synthesize_response(const HttpRequest& req) {
@@ -169,10 +213,7 @@ HttpResponse synthesize_response(const HttpRequest& req) {
   if (req.path.rfind("/bytes/", 0) == 0) {
     const std::size_t n =
         static_cast<std::size_t>(std::atoll(req.path.c_str() + 7));
-    resp.body.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      resp.body[i] = static_cast<std::uint8_t>('a' + (i % 23));
-    }
+    resp.body = periodic_bytes(n, 'a', 23);
     resp.set_header("Content-Type", "application/octet-stream");
   } else {
     const std::string text = "hello from pvn http-lite: " + req.path;

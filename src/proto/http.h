@@ -40,11 +40,23 @@ struct HttpResponse {
 
 // Incremental parser for one direction of an HTTP-lite stream.
 // Emits complete messages via the callback. Handles pipelined messages.
+//
+// Each message's head is parsed once, when its "\r\n\r\n" arrives. Body
+// bytes are then appended straight from the fed chunks into the message
+// being built, which is moved out to the callback; only bytes of a head that
+// has not yet ended are buffered, so no body-sized buffer outlives its
+// message.
 class HttpParser {
  public:
   enum class Kind { kRequest, kResponse };
   using RequestHandler = std::function<void(HttpRequest)>;
   using ResponseHandler = std::function<void(HttpResponse)>;
+
+  // Largest Content-Length accepted; a larger one is a parse error. The
+  // body buffer is reserved up front, so this also caps what one peer
+  // header can make the parser allocate. No workload sends bodies above a
+  // few MB.
+  static constexpr std::size_t kMaxContentLength = std::size_t{64} << 20;
 
   HttpParser(Kind kind, RequestHandler on_request, ResponseHandler on_response)
       : kind_(kind),
@@ -53,17 +65,22 @@ class HttpParser {
 
   void feed(const Bytes& chunk);
   bool error() const { return error_; }
-  // Body bytes received so far for the in-flight message (for TTFB-style
-  // progress measurements).
-  std::size_t partial_body_bytes() const;
 
  private:
-  bool try_parse_one();
+  std::size_t head_bytes_in(const std::uint8_t* p, std::size_t n) const;
+  void parse_head();
+  void emit();
 
   Kind kind_;
   RequestHandler on_request_;
   ResponseHandler on_response_;
+  // Bytes of a head whose terminator has not arrived yet.
   std::string buf_;
+  // The message whose body is being received (which one follows kind_).
+  HttpRequest req_;
+  HttpResponse resp_;
+  bool in_body_ = false;
+  std::size_t body_left_ = 0;
   bool error_ = false;
 };
 

@@ -1,5 +1,7 @@
 #include "util/bytes.h"
 
+#include <algorithm>
+
 namespace pvn {
 
 void ByteWriter::u16(std::uint16_t v) {
@@ -102,6 +104,20 @@ std::string ByteReader::str() {
 
 Bytes to_bytes(std::string_view s) {
   return Bytes(s.begin(), s.end());
+}
+
+Bytes periodic_bytes(std::size_t n, std::uint8_t first, std::size_t period) {
+  Bytes out(n);
+  const std::size_t head = std::min(n, std::max<std::size_t>(period, 1));
+  for (std::size_t i = 0; i < head; ++i) {
+    out[i] = static_cast<std::uint8_t>(first + i);
+  }
+  // out[0, filled) is a whole number of periods, so copying it forward keeps
+  // byte i equal to first + i % period.
+  for (std::size_t filled = head; filled < n; filled *= 2) {
+    std::memcpy(out.data() + filled, out.data(), std::min(filled, n - filled));
+  }
+  return out;
 }
 
 std::string to_string(const Bytes& b) {

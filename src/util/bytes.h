@@ -139,6 +139,11 @@ class ByteReader {
 
 // Convenience: bytes of a string literal / string.
 Bytes to_bytes(std::string_view s);
+// Deterministic filler: n bytes where byte i is `first + i % period`. Written
+// one period at a time and then doubled with memcpy, so each byte is produced
+// once; a period of 0 counts as 1. Synthetic HTTP bodies (/bytes/N, video
+// segments) use it.
+Bytes periodic_bytes(std::size_t n, std::uint8_t first, std::size_t period);
 std::string to_string(const Bytes& b);
 
 }  // namespace pvn

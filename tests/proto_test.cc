@@ -3,6 +3,10 @@
 // (codec, parser, server/client), and DHCP-lite (leases, PVN option).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <string_view>
+
 #include "fixtures.h"
 #include "proto/dhcp.h"
 #include "proto/dns.h"
@@ -421,6 +425,174 @@ TEST(HttpCodec, MalformedHeaderSetsError) {
   HttpParser parser(HttpParser::Kind::kRequest, nullptr, nullptr);
   parser.feed(to_bytes("GET / HTTP/1.1\r\nBadHeaderNoColon\r\n\r\n"));
   EXPECT_TRUE(parser.error());
+}
+
+TEST(HttpCodec, OutOfRangeOrSignedContentLengthSetsError) {
+  const std::string too_big = std::to_string(HttpParser::kMaxContentLength + 1);
+  for (const std::string& value : {std::string("18446744073709551615"),
+                                   std::string("9223372036854775808"),
+                                   std::string("+5"), std::string(" 5"),
+                                   too_big}) {
+    int emitted = 0;
+    HttpParser resp_parser(HttpParser::Kind::kResponse, nullptr,
+                           [&](HttpResponse) { ++emitted; });
+    resp_parser.feed(to_bytes("HTTP/1.1 200 OK\r\nContent-Length: " + value +
+                              "\r\n\r\nhello"));
+    EXPECT_TRUE(resp_parser.error()) << value;
+
+    HttpParser req_parser(HttpParser::Kind::kRequest,
+                          [&](HttpRequest) { ++emitted; }, nullptr);
+    req_parser.feed(to_bytes("POST / HTTP/1.1\r\nContent-Length: " + value +
+                             "\r\n\r\nhello"));
+    EXPECT_TRUE(req_parser.error()) << value;
+    // A latched error swallows whatever follows.
+    req_parser.feed(to_bytes("GET / HTTP/1.1\r\n\r\n"));
+    EXPECT_EQ(emitted, 0) << value;
+  }
+}
+
+TEST(HttpCodec, ContentLengthAtLimitIsAccepted) {
+  HttpParser parser(HttpParser::Kind::kResponse, nullptr, nullptr);
+  parser.feed(to_bytes("HTTP/1.1 200 OK\r\nContent-Length: " +
+                       std::to_string(HttpParser::kMaxContentLength) +
+                       "\r\n\r\nhello"));
+  EXPECT_FALSE(parser.error());
+}
+
+// Re-serializing a parsed message reproduces its wire form exactly (the
+// parsed headers carry Content-Length, so serialize() adds nothing), which
+// makes the wire bytes a complete fingerprint of what the parser emitted.
+std::vector<Bytes> parse_in_pieces(HttpParser::Kind kind, const Bytes& wire,
+                                   std::vector<std::size_t> cuts) {
+  std::vector<Bytes> emitted;
+  HttpParser parser(
+      kind, [&](HttpRequest r) { emitted.push_back(r.serialize()); },
+      [&](HttpResponse r) { emitted.push_back(r.serialize()); });
+  cuts.push_back(wire.size());
+  std::sort(cuts.begin(), cuts.end());
+  std::size_t from = 0;
+  for (const std::size_t cut : cuts) {
+    parser.feed(Bytes(wire.begin() + static_cast<std::ptrdiff_t>(from),
+                      wire.begin() + static_cast<std::ptrdiff_t>(cut)));
+    from = cut;
+  }
+  EXPECT_FALSE(parser.error());
+  return emitted;
+}
+
+// Offsets in a pipelined stream where a cut is most likely to trip a parser:
+// around every CRLF of each head (so inside each header line ending and
+// inside "\r\n\r\n"), at the start of each body, and between messages.
+std::vector<std::size_t> framing_boundaries(const std::vector<Bytes>& msgs) {
+  std::vector<std::size_t> cuts;
+  std::size_t off = 0;
+  for (const Bytes& m : msgs) {
+    const std::string_view text(reinterpret_cast<const char*>(m.data()),
+                                m.size());
+    const std::size_t body_start = text.find("\r\n\r\n") + 4;
+    for (std::size_t i = 0; i + 1 < body_start; ++i) {
+      if (text[i] == '\r' && text[i + 1] == '\n') {
+        for (std::size_t k = 0; k < 3; ++k) cuts.push_back(off + i + k);
+      }
+    }
+    cuts.push_back(off + body_start);
+    off += m.size();
+    cuts.push_back(off);
+  }
+  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+  cuts.pop_back();  // the end of the stream
+  return cuts;
+}
+
+void expect_split_invariant(HttpParser::Kind kind,
+                            const std::vector<Bytes>& msgs) {
+  Bytes wire;
+  for (const Bytes& m : msgs) wire.insert(wire.end(), m.begin(), m.end());
+
+  // Whole.
+  ASSERT_EQ(parse_in_pieces(kind, wire, {}), msgs);
+
+  // One byte at a time.
+  std::vector<std::size_t> every_byte;
+  for (std::size_t i = 1; i < wire.size(); ++i) every_byte.push_back(i);
+  EXPECT_EQ(parse_in_pieces(kind, wire, every_byte), msgs);
+
+  // Seeded random cut points, from tiny pieces to several TCP segments.
+  for (std::uint32_t seed = 1; seed <= 8; ++seed) {
+    std::mt19937 rng(seed);
+    std::uniform_int_distribution<std::size_t> step(1, seed % 2 ? 9 : 4000);
+    std::vector<std::size_t> cuts;
+    for (std::size_t at = step(rng); at < wire.size(); at += step(rng)) {
+      cuts.push_back(at);
+    }
+    EXPECT_EQ(parse_in_pieces(kind, wire, cuts), msgs) << "seed " << seed;
+  }
+
+  // Exactly at each framing boundary: all at once, then one at a time.
+  const std::vector<std::size_t> bounds = framing_boundaries(msgs);
+  EXPECT_EQ(parse_in_pieces(kind, wire, bounds), msgs);
+  for (const std::size_t cut : bounds) {
+    EXPECT_EQ(parse_in_pieces(kind, wire, {cut}), msgs) << "cut at " << cut;
+  }
+}
+
+std::vector<Bytes> split_test_bodies() {
+  Bytes large(300000);
+  std::mt19937 rng(42);
+  for (std::uint8_t& b : large) b = static_cast<std::uint8_t>(rng());
+  return {Bytes{}, to_bytes("x"), to_bytes("a\r\n\r\nb\r\n\r\n"),
+          std::move(large)};
+}
+
+TEST(HttpCodec, RequestParsingIsSplitInvariant) {
+  std::vector<Bytes> msgs;
+  int i = 0;
+  for (Bytes& body : split_test_bodies()) {
+    HttpRequest req;
+    req.method = body.empty() ? "GET" : "POST";
+    req.path = "/upload/" + std::to_string(i++);
+    req.set_header("Host", "example.com");
+    req.set_header("X-Device-Id", "dev-" + std::to_string(i));
+    req.body = std::move(body);
+    msgs.push_back(req.serialize());
+  }
+  expect_split_invariant(HttpParser::Kind::kRequest, msgs);
+}
+
+TEST(HttpCodec, ResponseParsingIsSplitInvariant) {
+  std::vector<Bytes> msgs;
+  int status = 200;
+  for (Bytes& body : split_test_bodies()) {
+    HttpResponse resp;
+    resp.status = status++;
+    resp.reason = "Reason Phrase";
+    resp.set_header("Content-Type", "application/octet-stream");
+    resp.body = std::move(body);
+    msgs.push_back(resp.serialize());
+  }
+  expect_split_invariant(HttpParser::Kind::kResponse, msgs);
+}
+
+TEST(HttpCodec, BytesBodyIsPeriodicFiller) {
+  for (const std::size_t n : {0, 1, 22, 23, 24, 46, 4097, 512000}) {
+    HttpRequest req;
+    req.path = "/bytes/" + std::to_string(n);
+    const Bytes body = synthesize_response(req).body;
+    ASSERT_EQ(body.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(body[i], static_cast<std::uint8_t>('a' + i % 23)) << "N=" << n << " i=" << i;
+    }
+  }
+}
+
+TEST(HttpCodec, PeriodicBytesMatchesModuloFill) {
+  for (const std::size_t n : {0, 1, 16, 17, 18, 35, 4097, 250000}) {
+    const Bytes fill = periodic_bytes(n, 'v', 17);
+    ASSERT_EQ(fill.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(fill[i], static_cast<std::uint8_t>('v' + i % 17)) << "n=" << n << " i=" << i;
+    }
+  }
 }
 
 TEST(Http, EndToEndFetch) {

@@ -126,6 +126,10 @@ struct BadPvncCase {
   const char* text;
 };
 
+// Prints the label only: gtest's default dumps the raw pointer bytes, which
+// differ per process under ASLR and so give the case a new name every build.
+void PrintTo(const BadPvncCase& c, std::ostream* os) { *os << c.label; }
+
 class PvncParserErrors : public ::testing::TestWithParam<BadPvncCase> {};
 
 TEST_P(PvncParserErrors, ReportsLineAndMessage) {
