@@ -18,16 +18,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common.h"
 #include "mbox/host.h"
 #include "mbox/inline_modules.h"
-#include "netsim/router.h"
 #include "sdn/flow_table.h"
 #include "sdn/switch.h"
 #include "tunnel/esp.h"
@@ -297,216 +294,6 @@ double measure_chain_packets_per_sec(int modules_count, bool quick) {
   });
 }
 
-// Burst run-to-completion: the same 5-module chain, fed PacketBursts through
-// Chain::process_burst (one shared context, no per-packet vectors). Reported
-// next to the per-packet number so the JSON records the batching win.
-double measure_chain_burst_packets_per_sec(int modules_count, bool quick) {
-  Simulator sim;
-  MboxHost host(sim);
-  Chain& chain = host.create_chain("bench-burst");
-  std::vector<std::unique_ptr<Middlebox>> modules;
-  for (int i = 0; i < modules_count; ++i) {
-    modules.push_back(std::make_unique<PiiDetector>(
-        std::vector<std::string>{"imei=", "password=", "lat="},
-        PiiAction::kMonitor));
-    chain.append(modules.back().get());
-  }
-  Network net;
-  std::vector<Packet> pool;
-  for (std::uint32_t p = 0; p < 64; ++p) pool.push_back(make_udp_packet(net, p));
-  constexpr std::size_t kBurst = 32;
-  const std::size_t iters = (quick ? 5000 : 100000) / kBurst + 1;
-  const double bursts_per_sec = rate_per_sec(iters, [&](std::size_t i) {
-    PacketBurst burst;
-    for (std::size_t b = 0; b < kBurst; ++b) {
-      burst.push_back(Packet(pool[(i * kBurst + b) % pool.size()]));  // CoW
-    }
-    SimDuration delay = 0;
-    benchmark::DoNotOptimize(chain.process_burst(std::move(burst), 0, delay));
-  });
-  return bursts_per_sec * static_cast<double>(kBurst);
-}
-
-// --- parallel sharded scenario ------------------------------------------------
-//
-// The end-to-end dataplane: K access networks (source -> SdnSwitch+chain ->
-// sink), one per shard, joined by a shard-0 core router. 90% of flows stay
-// local, 10% cross the core. Send times are globally unique so cross-shard
-// arrival order is a pure function of the schedule — the run digest must be
-// identical for every shard count (the determinism gate).
-
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFF;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-class BenchSink : public Node {
- public:
-  BenchSink(Network& net, std::string name) : Node(net, std::move(name)) {}
-  void handle_packet(Packet pkt, int) override {
-    const int flow = pkt.l4[0] | (pkt.l4[1] << 8);
-    const int seq = pkt.l4[2] | (pkt.l4[3] << 8);
-    per_flow[flow].push_back(seq);
-    ++delivered;
-  }
-  std::map<int, std::vector<int>> per_flow;
-  std::uint64_t delivered = 0;
-};
-
-// Per-flow self-retriggering sender: one pending event per flow, globally
-// unique send slots (slot grid = 2us * flow count).
-class BenchSource : public Node {
- public:
-  BenchSource(Network& net, std::string name) : Node(net, std::move(name)) {}
-  void handle_packet(Packet, int) override {}
-
-  void start_flow(Network& net, int flow, int total_flows, int packets,
-                  Ipv4Addr src, Ipv4Addr dst) {
-    const SimDuration spacing = total_flows * microseconds(2);
-    const SimTime first = milliseconds(1) + flow * microseconds(2);
-    schedule_send(net, flow, 0, packets, src, dst, first, spacing);
-  }
-
- private:
-  void schedule_send(Network& net, int flow, int seq, int total, Ipv4Addr src,
-                     Ipv4Addr dst, SimTime at, SimDuration spacing) {
-    sim().schedule_at(at, SimCategory::kWorkload, [=, &net, this] {
-      Bytes payload(256, 0x5A);
-      payload[0] = static_cast<std::uint8_t>(flow & 0xFF);
-      payload[1] = static_cast<std::uint8_t>(flow >> 8);
-      payload[2] = static_cast<std::uint8_t>(seq & 0xFF);
-      payload[3] = static_cast<std::uint8_t>(seq >> 8);
-      send(0, net.make_packet(src, dst, IpProto::kUdp, std::move(payload)));
-      if (seq + 1 < total) {
-        schedule_send(net, flow, seq + 1, total, src, dst, at + spacing,
-                      spacing);
-      }
-    });
-  }
-};
-
-struct ParallelScenario {
-  static constexpr int kNetworks = 4;
-
-  ParallelScenario(std::size_t shards, int flows, int packets_per_flow)
-      : net(/*seed=*/7, shards, /*lookahead=*/milliseconds(1)) {
-    net.set_burst_window(microseconds(50));
-    net.set_build_shard(0);
-    core = &net.add_node<Router>("core");
-
-    LinkParams access;
-    access.rate = Rate::gbps(10);
-    access.latency = microseconds(10);
-    LinkParams backbone;
-    backbone.rate = Rate::gbps(10);
-    backbone.latency = milliseconds(1);
-
-    for (int k = 0; k < kNetworks; ++k) {
-      net.set_build_shard(static_cast<std::size_t>(k) % net.shard_count());
-      const std::string id = std::to_string(k);
-      auto& src = net.add_node<BenchSource>("src-" + id);
-      auto& sw = net.add_node<SdnSwitch>("sw-" + id, 1);
-      auto& sink = net.add_node<BenchSink>("sink-" + id);
-      net.connect(src, sw, access);
-      net.connect(sw, sink, access);
-      net.connect(sw, *core, backbone);
-
-      auto host = std::make_unique<MboxHost>(
-          net.shards().shard(static_cast<std::size_t>(k) % net.shard_count()));
-      Chain& chain = host->create_chain("chain-" + id);
-      for (int m = 0; m < 5; ++m) {
-        modules.push_back(std::make_unique<PiiDetector>(
-            std::vector<std::string>{"imei=", "password=", "lat="},
-            PiiAction::kMonitor));
-        chain.append(modules.back().get());
-      }
-      sw.register_processor("chain-" + id, &chain);
-      hosts.push_back(std::move(host));
-
-      FlowRule local;
-      local.priority = 100;
-      local.match.dst =
-          Prefix{Ipv4Addr(10, static_cast<std::uint8_t>(k), 0, 0), 16};
-      local.actions.push_back(ActMbox{"chain-" + id});
-      local.actions.push_back(ActOutput{1});
-      sw.table(0).add(local);
-      FlowRule remote;
-      remote.priority = 1;
-      remote.actions.push_back(ActOutput{2});
-      sw.table(0).add(remote);
-      core->add_route(
-          Prefix{Ipv4Addr(10, static_cast<std::uint8_t>(k), 0, 0), 16}, k);
-
-      sources.push_back(&src);
-      sinks.push_back(&sink);
-    }
-
-    for (int f = 0; f < flows; ++f) {
-      const int k = f % kNetworks;
-      const Ipv4Addr from(10, static_cast<std::uint8_t>(k), 0, 2);
-      // Every 10th flow crosses the core to the next network over.
-      const int dst_net = (f % 10 == 0) ? (k + 1) % kNetworks : k;
-      const Ipv4Addr to(10, static_cast<std::uint8_t>(dst_net), 0, 50);
-      sources[static_cast<std::size_t>(k)]->start_flow(net, f, flows,
-                                                       packets_per_flow, from,
-                                                       to);
-    }
-  }
-
-  std::uint64_t digest() const {
-    std::uint64_t h = 1469598103934665603ull;
-    for (const BenchSink* sink : sinks) {
-      for (const auto& [flow, seqs] : sink->per_flow) {
-        h = fnv1a(h, static_cast<std::uint64_t>(flow));
-        for (const int s : seqs) h = fnv1a(h, static_cast<std::uint64_t>(s));
-      }
-    }
-    return fnv1a(h, delivered());
-  }
-  std::uint64_t delivered() const {
-    std::uint64_t n = 0;
-    for (const BenchSink* sink : sinks) n += sink->delivered;
-    return n;
-  }
-
-  Network net;
-  Router* core = nullptr;
-  std::vector<BenchSource*> sources;
-  std::vector<BenchSink*> sinks;
-  std::vector<std::unique_ptr<MboxHost>> hosts;
-  std::vector<std::unique_ptr<Middlebox>> modules;
-};
-
-struct ParallelSample {
-  std::size_t shards;
-  double wall_sec;
-  std::size_t events;
-  double events_per_sec;
-  std::uint64_t delivered;
-  std::uint64_t digest;
-};
-
-ParallelSample run_parallel_scenario(std::size_t shards, bool quick) {
-  const int flows = 32;
-  const int packets_per_flow = quick ? 150 : 1500;
-  ParallelScenario sc(shards, flows, packets_per_flow);
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::size_t events = sc.net.run_parallel();
-  const auto t1 = std::chrono::steady_clock::now();
-  ParallelSample s;
-  s.shards = shards;
-  s.wall_sec = seconds_of(t1 - t0);
-  s.events = events;
-  s.events_per_sec =
-      s.wall_sec > 0 ? static_cast<double>(events) / s.wall_sec : 0.0;
-  s.delivered = sc.delivered();
-  s.digest = sc.digest();
-  return s;
-}
-
 double measure_sim_events_per_sec(bool quick) {
   Simulator sim;
   struct Tick {
@@ -537,37 +324,18 @@ double measure_esp_roundtrips_per_sec(bool quick) {
   });
 }
 
-// Returns false on a determinism-gate failure (the caller exits nonzero).
-bool write_json_summary(const char* path, bool quick, std::size_t shards) {
+void write_json_summary(const char* path, bool quick) {
   const int kSizes[] = {16, 256, 1024, 4096};
   std::vector<FlowTableSample> samples;
   for (const int n : kSizes) samples.push_back(measure_flow_table(n, quick));
   const double chain5 = measure_chain_packets_per_sec(5, quick);
-  const double chain5_burst = measure_chain_burst_packets_per_sec(5, quick);
   const double events = measure_sim_events_per_sec(quick);
   const double esp = measure_esp_roundtrips_per_sec(quick);
-
-  // Parallel scenario: 1 shard (the baseline + determinism reference), then
-  // the requested shard count.
-  std::vector<ParallelSample> par;
-  par.push_back(run_parallel_scenario(1, quick));
-  if (shards > 1) par.push_back(run_parallel_scenario(shards, quick));
-  // Digest + delivered must match exactly. Raw event counts are NOT compared:
-  // the cross-shard burst path uses one extra flush event per burst, so the
-  // event count differs structurally (not nondeterministically) with layout.
-  const bool deterministic =
-      par.size() < 2 || (par[0].digest == par[1].digest &&
-                         par[0].delivered == par[1].delivered);
-  const double speedup =
-      par.size() >= 2 && par[0].events_per_sec > 0
-          ? par[1].events_per_sec / par[0].events_per_sec
-          : 1.0;
-  const unsigned hw = std::thread::hardware_concurrency();
 
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path);
-    return deterministic;
+    return;
   }
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"e15_dataplane\",\n");
@@ -583,31 +351,8 @@ bool write_json_summary(const char* path, bool quick, std::size_t shards) {
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"chain5_packets_per_sec\": %.0f,\n", chain5);
-  std::fprintf(f, "  \"chain5_burst_packets_per_sec\": %.0f,\n", chain5_burst);
-  std::fprintf(f, "  \"chain_burst_speedup\": %.2f,\n",
-               chain5 > 0 ? chain5_burst / chain5 : 0.0);
   std::fprintf(f, "  \"sim_events_per_sec\": %.0f,\n", events);
-  std::fprintf(f, "  \"esp_roundtrips_per_sec\": %.0f,\n", esp);
-  std::fprintf(f, "  \"parallel\": {\n");
-  std::fprintf(f, "    \"hardware_concurrency\": %u,\n", hw);
-  std::fprintf(f, "    \"burst_window_us\": 50,\n");
-  std::fprintf(f, "    \"runs\": [\n");
-  for (std::size_t i = 0; i < par.size(); ++i) {
-    const ParallelSample& s = par[i];
-    std::fprintf(f,
-                 "      {\"shards\": %zu, \"events\": %zu, \"wall_sec\": %.4f, "
-                 "\"events_per_sec\": %.0f, \"delivered\": %llu, "
-                 "\"digest\": \"%016llx\"}%s\n",
-                 s.shards, s.events, s.wall_sec, s.events_per_sec,
-                 static_cast<unsigned long long>(s.delivered),
-                 static_cast<unsigned long long>(s.digest),
-                 i + 1 < par.size() ? "," : "");
-  }
-  std::fprintf(f, "    ],\n");
-  std::fprintf(f, "    \"speedup\": %.2f,\n", speedup);
-  std::fprintf(f, "    \"deterministic\": %s\n",
-               deterministic ? "true" : "false");
-  std::fprintf(f, "  }\n");
+  std::fprintf(f, "  \"esp_roundtrips_per_sec\": %.0f\n", esp);
   std::fprintf(f, "}\n");
   std::fclose(f);
 
@@ -619,21 +364,9 @@ bool write_json_summary(const char* path, bool quick, std::size_t shards) {
                 s.rules, s.hashed_per_sec, s.linear_per_sec, s.speedup);
   }
   std::printf("chain (5 modules):     %12.0f packets/s\n", chain5);
-  std::printf("chain burst (x32):     %12.0f packets/s  (%.1fx)\n",
-              chain5_burst, chain5 > 0 ? chain5_burst / chain5 : 0.0);
   std::printf("simulator:             %12.0f events/s\n", events);
   std::printf("esp encap+decap:       %12.0f roundtrips/s\n", esp);
-  for (const ParallelSample& s : par) {
-    std::printf("parallel %zu shard(s):   %12.0f events/s  (%zu events, "
-                "%llu delivered, digest %016llx)\n",
-                s.shards, s.events_per_sec, s.events,
-                static_cast<unsigned long long>(s.delivered),
-                static_cast<unsigned long long>(s.digest));
-  }
-  std::printf("parallel speedup:      %.2fx on %u hw threads — %s\n", speedup,
-              hw, deterministic ? "deterministic" : "DETERMINISM MISMATCH");
   std::printf("wrote %s\n", path);
-  return deterministic;
 }
 
 }  // namespace
@@ -641,15 +374,10 @@ bool write_json_summary(const char* path, bool quick, std::size_t shards) {
 int main(int argc, char** argv) {
   pvn::bench::TelemetryScope telemetry(argc, argv);
   bool quick = false;
-  std::size_t shards = 4;
   const char* env_quick = std::getenv("PVN_BENCH_QUICK");
   if (env_quick != nullptr && std::strcmp(env_quick, "0") != 0) quick = true;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      shards = static_cast<std::size_t>(std::atoi(argv[i] + 9));
-      if (shards == 0) shards = 1;
-    }
   }
 
   if (!quick) {
@@ -658,13 +386,7 @@ int main(int argc, char** argv) {
   }
 
   const char* json_path = std::getenv("PVN_BENCH_JSON");
-  const bool deterministic = write_json_summary(
-      json_path != nullptr ? json_path : "BENCH_dataplane.json", quick, shards);
-  if (!deterministic) {
-    std::fprintf(stderr,
-                 "FAIL: %zu-shard run diverged from the 1-shard reference\n",
-                 shards);
-    return 1;
-  }
+  write_json_summary(json_path != nullptr ? json_path : "BENCH_dataplane.json",
+                     quick);
   return 0;
 }

@@ -115,6 +115,11 @@ struct OpCosts {
   double instant_ns = 0.0;
 };
 
+// Forces each loop iteration's cell write to memory. Cells are plain
+// integers, so without it the optimizer folds a loop of increments into one
+// add and the per-op cost reads 0.
+inline void clobber_memory() { asm volatile("" : : : "memory"); }
+
 OpCosts measure_op_costs(std::uint64_t iters) {
   OpCosts c;
   auto& reg = telemetry::MetricsRegistry::global();
@@ -124,17 +129,24 @@ OpCosts measure_op_costs(std::uint64_t iters) {
       reg.histogram("bench.ops.hist", "", telemetry::latency_bounds_ns());
 
   double t0 = now_sec();
-  for (std::uint64_t i = 0; i < iters; ++i) counter.inc();
+  for (std::uint64_t i = 0; i < iters; ++i) {
+    counter.inc();
+    clobber_memory();
+  }
   c.counter_inc_ns = (now_sec() - t0) * 1e9 / static_cast<double>(iters);
 
   t0 = now_sec();
   for (std::uint64_t i = 0; i < iters; ++i) {
     gauge.set(static_cast<std::int64_t>(i));
+    clobber_memory();
   }
   c.gauge_set_ns = (now_sec() - t0) * 1e9 / static_cast<double>(iters);
 
   t0 = now_sec();
-  for (std::uint64_t i = 0; i < iters; ++i) hist.observe(i * 977);
+  for (std::uint64_t i = 0; i < iters; ++i) {
+    hist.observe(i * 977);
+    clobber_memory();
+  }
   c.histogram_observe_ns = (now_sec() - t0) * 1e9 / static_cast<double>(iters);
 
   // Spans allocate strings per record; measure against a private recorder so

@@ -3,14 +3,14 @@
 //
 // Three gates, each a hard exit-code failure:
 //   1. Flight-recorder overhead: the per-link packet sampler attached to
-//      the e15-style sharded dataplane workload must cost < 5% in
-//      events/sec (warm-up + median of paired reps — e17's recorded
+//      the dataplane workload (bench/dataplane_scenario.h) must cost < 5%
+//      in events/sec (warm-up + median of paired reps — e17's recorded
 //      5.04% flake is exactly what the median guards against), and must be
 //      passive (identical delivery digest with and without it).
-//   2. Snapshot shard-consistency: an OpsEndpoint metrics snapshot cut at
-//      a ShardGroup time barrier must report byte-identical per-link
-//      deltas on a 4-shard run and a 1-shard run of the same topology at
-//      the same simulated barrier instant.
+//   2. Snapshot consistency: an OpsEndpoint metrics snapshot cut at a
+//      simulator time barrier must report byte-identical per-link deltas
+//      on two runs of the same seeded topology, at the same simulated
+//      barrier instant.
 //   3. Reconfiguration verbs: every OpsVerb round-trips through the in-sim
 //      protocol against the full testbed, is idempotent under admin
 //      retransmission, and is visible in a subsequent snapshot.
@@ -20,204 +20,27 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <ctime>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "audit/reputation.h"
 #include "common.h"
-#include "mbox/host.h"
-#include "mbox/inline_modules.h"
-#include "netsim/router.h"
+#include "dataplane_scenario.h"
 #include "ops/client.h"
 #include "ops/endpoint.h"
 #include "ops/flight_recorder.h"
 #include "proto/ops.h"
-#include "sdn/switch.h"
 #include "testbed/testbed.h"
 
 using namespace pvn;
+using bench::DataplaneScenario;
+using bench::thread_cpu_seconds;
 
 namespace {
 
 std::string json_bool(bool b) { return b ? "true" : "false"; }
-
-// CPU time of the calling thread. The overhead gate compares two ~30 ms
-// single-shard runs; wall clock at that scale is dominated by whatever else
-// the machine is doing (±5% observed on a loaded box), while thread CPU
-// time isolates the work actually executed.
-double thread_cpu_seconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
-// --- the e15 dataplane workload ----------------------------------------------
-// K access networks (source -> SdnSwitch+chain -> sink), one per shard,
-// joined by a shard-0 core router; 10% of flows cross the core. Send times
-// are globally unique so the delivery digest is shard-count-invariant.
-
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFF;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-class BenchSink : public Node {
- public:
-  BenchSink(Network& net, std::string name) : Node(net, std::move(name)) {}
-  void handle_packet(Packet pkt, int) override {
-    const int flow = pkt.l4[0] | (pkt.l4[1] << 8);
-    const int seq = pkt.l4[2] | (pkt.l4[3] << 8);
-    per_flow[flow].push_back(seq);
-    ++delivered;
-  }
-  std::map<int, std::vector<int>> per_flow;
-  std::uint64_t delivered = 0;
-};
-
-class BenchSource : public Node {
- public:
-  BenchSource(Network& net, std::string name) : Node(net, std::move(name)) {}
-  void handle_packet(Packet, int) override {}
-
-  void start_flow(Network& net, int flow, int total_flows, int packets,
-                  Ipv4Addr src, Ipv4Addr dst) {
-    const SimDuration spacing = total_flows * microseconds(2);
-    const SimTime first = milliseconds(1) + flow * microseconds(2);
-    schedule_send(net, flow, 0, packets, src, dst, first, spacing);
-  }
-
- private:
-  void schedule_send(Network& net, int flow, int seq, int total, Ipv4Addr src,
-                     Ipv4Addr dst, SimTime at, SimDuration spacing) {
-    sim().schedule_at(at, SimCategory::kWorkload, [=, &net, this] {
-      Bytes payload(256, 0x5A);
-      payload[0] = static_cast<std::uint8_t>(flow & 0xFF);
-      payload[1] = static_cast<std::uint8_t>(flow >> 8);
-      payload[2] = static_cast<std::uint8_t>(seq & 0xFF);
-      payload[3] = static_cast<std::uint8_t>(seq >> 8);
-      send(0, net.make_packet(src, dst, IpProto::kUdp, std::move(payload)));
-      if (seq + 1 < total) {
-        schedule_send(net, flow, seq + 1, total, src, dst, at + spacing,
-                      spacing);
-      }
-    });
-  }
-};
-
-struct OpsScenario {
-  static constexpr int kNetworks = 4;
-
-  OpsScenario(std::size_t shards, int flows, int packets_per_flow,
-              bool with_admin)
-      : net(/*seed=*/7, shards, /*lookahead=*/milliseconds(1)) {
-    net.set_burst_window(microseconds(50));
-    net.set_build_shard(0);
-    core = &net.add_node<Router>("core");
-
-    if (with_admin) {
-      // Management plane on shard 0: the ops endpoint host and the admin
-      // host, directly linked (deterministic request arrival time, so the
-      // snapshot barrier lands at the same instant for every shard count).
-      ops_host = &net.add_node<Host>("ops", Ipv4Addr(10, 99, 0, 1));
-      admin_host = &net.add_node<Host>("admin", Ipv4Addr(10, 99, 0, 2));
-      LinkParams mgmt;
-      mgmt.rate = Rate::gbps(1);
-      mgmt.latency = microseconds(100);
-      net.connect(*admin_host, *ops_host, mgmt);
-      endpoint = std::make_unique<OpsEndpoint>(*ops_host);
-      client = std::make_unique<OpsClient>(*admin_host, Ipv4Addr(10, 99, 0, 1));
-    }
-
-    LinkParams access;
-    access.rate = Rate::gbps(10);
-    access.latency = microseconds(10);
-    LinkParams backbone;
-    backbone.rate = Rate::gbps(10);
-    backbone.latency = milliseconds(1);
-
-    for (int k = 0; k < kNetworks; ++k) {
-      net.set_build_shard(static_cast<std::size_t>(k) % net.shard_count());
-      const std::string id = std::to_string(k);
-      auto& src = net.add_node<BenchSource>("src-" + id);
-      auto& sw = net.add_node<SdnSwitch>("sw-" + id, 1);
-      auto& sink = net.add_node<BenchSink>("sink-" + id);
-      net.connect(src, sw, access);
-      net.connect(sw, sink, access);
-      net.connect(sw, *core, backbone);
-
-      auto host = std::make_unique<MboxHost>(
-          net.shards().shard(static_cast<std::size_t>(k) % net.shard_count()));
-      Chain& chain = host->create_chain("chain-" + id);
-      for (int m = 0; m < 5; ++m) {
-        modules.push_back(std::make_unique<PiiDetector>(
-            std::vector<std::string>{"imei=", "password=", "lat="},
-            PiiAction::kMonitor));
-        chain.append(modules.back().get());
-      }
-      sw.register_processor("chain-" + id, &chain);
-      hosts.push_back(std::move(host));
-
-      FlowRule local;
-      local.priority = 100;
-      local.match.dst =
-          Prefix{Ipv4Addr(10, static_cast<std::uint8_t>(k), 0, 0), 16};
-      local.actions.push_back(ActMbox{"chain-" + id});
-      local.actions.push_back(ActOutput{1});
-      sw.table(0).add(local);
-      FlowRule remote;
-      remote.priority = 1;
-      remote.actions.push_back(ActOutput{2});
-      sw.table(0).add(remote);
-      core->add_route(
-          Prefix{Ipv4Addr(10, static_cast<std::uint8_t>(k), 0, 0), 16}, k);
-
-      sources.push_back(&src);
-      sinks.push_back(&sink);
-    }
-
-    for (int f = 0; f < flows; ++f) {
-      const int k = f % kNetworks;
-      const Ipv4Addr from(10, static_cast<std::uint8_t>(k), 0, 2);
-      const int dst_net = (f % 10 == 0) ? (k + 1) % kNetworks : k;
-      const Ipv4Addr to(10, static_cast<std::uint8_t>(dst_net), 0, 50);
-      sources[static_cast<std::size_t>(k)]->start_flow(net, f, flows,
-                                                       packets_per_flow, from,
-                                                       to);
-    }
-  }
-
-  std::uint64_t digest() const {
-    std::uint64_t h = 1469598103934665603ull;
-    for (const BenchSink* sink : sinks) {
-      for (const auto& [flow, seqs] : sink->per_flow) {
-        h = fnv1a(h, static_cast<std::uint64_t>(flow));
-        for (const int s : seqs) h = fnv1a(h, static_cast<std::uint64_t>(s));
-      }
-    }
-    std::uint64_t n = 0;
-    for (const BenchSink* sink : sinks) n += sink->delivered;
-    return fnv1a(h, n);
-  }
-
-  Network net;
-  Router* core = nullptr;
-  Host* ops_host = nullptr;
-  Host* admin_host = nullptr;
-  std::unique_ptr<OpsEndpoint> endpoint;
-  std::unique_ptr<OpsClient> client;
-  std::vector<BenchSource*> sources;
-  std::vector<BenchSink*> sinks;
-  std::vector<std::unique_ptr<MboxHost>> hosts;
-  std::vector<std::unique_ptr<Middlebox>> modules;
-};
 
 // --- gate 1: flight-recorder overhead ----------------------------------------
 
@@ -236,11 +59,11 @@ struct DataplaneRun {
 };
 
 DataplaneRun run_dataplane(bool with_recorder, int flows, int packets) {
-  OpsScenario sc(/*shards=*/1, flows, packets, /*with_admin=*/false);
-  FlightRecorder rec;  // default config: every 16th burst
+  DataplaneScenario sc(flows, packets, /*with_admin=*/false);
+  FlightRecorder rec;  // default config: every 16th packet
   if (with_recorder) rec.attach(sc.net);
   const double t0 = thread_cpu_seconds();
-  const std::size_t events = sc.net.run_parallel();
+  const std::size_t events = sc.net.sim().run();
   const double t1 = thread_cpu_seconds();
   DataplaneRun r;
   const double wall = t1 - t0;
@@ -286,24 +109,22 @@ OverheadResult measure_overhead(bool quick) {
   return r;
 }
 
-// --- gate 2: snapshot shard-consistency --------------------------------------
+// --- gate 2: snapshot consistency ---------------------------------------------
 
 // Per-link metric deltas for one run: (reply samples at the barrier) minus
 // (registry values before the run started). The global registry accumulates
-// across scenarios in this process, so absolute values differ between the
-// 1-shard and 4-shard runs — the deltas must not.
+// across scenarios in this process, so absolute values differ between two
+// runs — the deltas must not.
 struct SnapshotRun {
   bool replied = false;
   SimTime barrier_time = 0;
-  std::uint32_t shard_count = 0;
   std::size_t sample_count = 0;
   bool wire_digest_ok = false;  // server digest matches the samples carried
   std::uint64_t delta_digest = 0;
 };
 
-SnapshotRun run_snapshot(std::size_t shards, int flows, int packets) {
-  OpsScenario sc(shards, flows, packets, /*with_admin=*/true);
-  sc.net.shards().enable_time_barriers();
+SnapshotRun run_snapshot(int flows, int packets) {
+  DataplaneScenario sc(flows, packets, /*with_admin=*/true);
 
   static constexpr const char* kPrefix = "netsim.link.";
   std::map<std::pair<std::string, std::string>, telemetry::MetricSample> base;
@@ -312,27 +133,21 @@ SnapshotRun run_snapshot(std::size_t shards, int flows, int packets) {
     if (s.name.rfind(kPrefix, 0) == 0) base[{s.name, s.instance}] = s;
   }
 
-  // Script the request at an absolute sim time from shard 0: after a
-  // run_parallel_until the clock position depends on the shard count (one
-  // shard lands on the deadline, N shards on a window boundary), so a send
-  // issued between runs would leave at different instants per configuration.
   std::optional<OpsSnapshotReply> reply;
-  sc.net.shards().shard(0).schedule_at(
+  sc.net.sim().schedule_at(
       milliseconds(5), SimCategory::kPvnControl, [&sc, &reply] {
         sc.client->request_snapshot(
             kPrefix, [&reply](const OpsSnapshotReply& r) { reply = r; });
       });
-  sc.net.run_parallel_until(milliseconds(20));
   // Drain to completion so the shared global registry's gauges (set
   // semantics, e.g. queued_bytes) read zero again before the next run
   // captures its baseline.
-  sc.net.run_parallel();
+  sc.net.sim().run();
 
   SnapshotRun out;
   if (!reply.has_value()) return out;
   out.replied = true;
   out.barrier_time = reply->barrier_time;
-  out.shard_count = reply->shard_count;
   out.sample_count = reply->samples.size();
   out.wire_digest_ok = reply->digest == ops_snapshot_digest(reply->samples);
 
@@ -385,14 +200,11 @@ VerbsResult run_verbs() {
     return std::size_t{3};
   });
 
-  // Snapshots cut at time barriers, so from here the testbed is driven
-  // through the windowed parallel runner instead of sim().run_until.
-  tb.net.shards().enable_time_barriers();
   const std::uint64_t applied_before = tb.ops->reconfigs_applied();
 
   OpsClient admin(*tb.client, tb.addrs.control);
   auto drive = [&tb](SimDuration d) {
-    tb.net.run_parallel_until(tb.net.sim().now() + d);
+    tb.net.sim().run_until(tb.net.sim().now() + d);
   };
   auto roundtrip = [&](OpsReconfigRequest rq,
                        std::optional<OpsReconfigReply>& out) {
@@ -492,36 +304,35 @@ int main(int argc, char** argv) {
 
   bench::title("E20 — operations plane",
                "admin introspection must not perturb the dataplane, and "
-               "must report identically at every shard count");
+               "must report identically on every run");
 
   // Gate 1: flight-recorder overhead on the dataplane workload.
   const OverheadResult oh = measure_overhead(quick);
   const bool overhead_ok = oh.overhead_pct < 5.0 && oh.passive;
   bench::header({"recorder", "events/s", "overhead %", "passive"});
   bench::row("off", oh.base_events_per_sec, 0.0, "-");
-  bench::row("every 16th burst", oh.recorder_events_per_sec, oh.overhead_pct,
+  bench::row("every 16th packet", oh.recorder_events_per_sec, oh.overhead_pct,
              oh.passive ? "yes" : "NO");
 
-  // Gate 2: barrier snapshots agree across shard counts.
+  // Gate 2: barrier snapshots of two runs with the same seed agree.
   const int flows = 32;
   const int packets = quick ? 100 : 500;
-  const SnapshotRun snap1 = run_snapshot(1, flows, packets);
-  const SnapshotRun snap4 = run_snapshot(4, flows, packets);
+  const SnapshotRun snap1 = run_snapshot(flows, packets);
+  const SnapshotRun snap2 = run_snapshot(flows, packets);
   const bool consistent =
-      snap1.replied && snap4.replied && snap1.shard_count == 1 &&
-      snap4.shard_count == 4 && snap1.barrier_time == snap4.barrier_time &&
-      snap1.sample_count > 0 && snap1.sample_count == snap4.sample_count &&
-      snap1.wire_digest_ok && snap4.wire_digest_ok &&
-      snap1.delta_digest == snap4.delta_digest;
+      snap1.replied && snap2.replied &&
+      snap1.barrier_time == snap2.barrier_time && snap1.sample_count > 0 &&
+      snap1.sample_count == snap2.sample_count && snap1.wire_digest_ok &&
+      snap2.wire_digest_ok && snap1.delta_digest == snap2.delta_digest;
   std::printf("\n");
-  bench::header({"shards", "barrier (us)", "samples", "delta digest"});
+  bench::header({"run", "barrier (us)", "samples", "delta digest"});
   bench::row(1, static_cast<double>(snap1.barrier_time) / 1000.0,
              static_cast<std::uint64_t>(snap1.sample_count),
              snap1.delta_digest);
-  bench::row(4, static_cast<double>(snap4.barrier_time) / 1000.0,
-             static_cast<std::uint64_t>(snap4.sample_count),
-             snap4.delta_digest);
-  std::printf("snapshot shard-consistency: %s\n",
+  bench::row(2, static_cast<double>(snap2.barrier_time) / 1000.0,
+             static_cast<std::uint64_t>(snap2.sample_count),
+             snap2.delta_digest);
+  std::printf("snapshot rerun consistency: %s\n",
               consistent ? "consistent" : "MISMATCH");
 
   // Gate 3: every reconfiguration verb round-trips against the testbed.
@@ -559,11 +370,11 @@ int main(int argc, char** argv) {
     std::fprintf(f, "  \"snapshot_barrier_us\": %.3f,\n",
                  static_cast<double>(snap1.barrier_time) / 1000.0);
     std::fprintf(f, "  \"snapshot_samples\": %zu,\n", snap1.sample_count);
-    std::fprintf(f, "  \"snapshot_delta_digest_1shard\": %llu,\n",
+    std::fprintf(f, "  \"snapshot_delta_digest\": %llu,\n",
                  static_cast<unsigned long long>(snap1.delta_digest));
-    std::fprintf(f, "  \"snapshot_delta_digest_4shard\": %llu,\n",
-                 static_cast<unsigned long long>(snap4.delta_digest));
-    std::fprintf(f, "  \"snapshot_shard_consistent\": %s,\n",
+    std::fprintf(f, "  \"snapshot_delta_digest_rerun\": %llu,\n",
+                 static_cast<unsigned long long>(snap2.delta_digest));
+    std::fprintf(f, "  \"snapshot_rerun_consistent\": %s,\n",
                  json_bool(consistent).c_str());
     std::fprintf(f, "  \"verbs\": {\n");
     std::fprintf(f, "    \"inject_rule\": %s,\n",

@@ -10,6 +10,8 @@
 //      exact repro ships with the failure.
 //   2. Determinism: rerunning the identical campaign produces bit-identical
 //      per-seed run digests (fault timeline + violations + final state).
+//      Every seed's digest and every planted class's replay digest are
+//      printed and written to the JSON, so runs compare across commits.
 //   3. Planted bugs: for every planted violation class, detect -> shrink ->
 //      replay must produce a <=3-event deterministic repro that still fails
 //      with the same invariant class after a repro-file round trip.
@@ -45,6 +47,7 @@ struct PlantedGate {
   bool converged = false;
   bool replay_same_class = false;  // repro-file round trip still fails
   bool replay_deterministic = false;
+  std::string replay_digest;  // hex digest of the reloaded repro's replay
 
   bool ok() const {
     return detected && converged && shrunk_events >= 1 && shrunk_events <= 3 &&
@@ -91,6 +94,7 @@ PlantedGate run_planted(PlantedBug bug, const ChaosPlannerConfig& cfg,
     if (v.invariant == shrunk.invariant) g.replay_same_class = true;
   }
   g.replay_deterministic = replay1.digest == replay2.digest;
+  g.replay_digest = replay1.digest.hex();
   return g;
 }
 
@@ -195,7 +199,12 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; deterministic && i < campaign.runs.size(); ++i) {
     deterministic = campaign.runs[i].digest == rerun.runs[i].digest;
   }
-  std::printf("\nrerun digests: %s\n",
+  std::printf("\n");
+  bench::header({"seed", "run digest"});
+  for (const auto& r : campaign.runs) {
+    bench::row(static_cast<std::uint64_t>(r.seed), r.digest.hex());
+  }
+  std::printf("rerun digests: %s\n",
               deterministic ? "bit-identical" : "MISMATCH");
 
   // Gate 3: every planted violation class, end to end.
@@ -225,12 +234,13 @@ int main(int argc, char** argv) {
   bool planted_ok = true;
   std::printf("\n");
   bench::header({"planted class", "detected", "shrunk to", "oracle runs",
-                 "replay"});
+                 "replay", "replay digest"});
   for (const Case& c : cases) {
     PlantedGate g = run_planted(c.bug, planted_cfg, c.invariant);
     bench::row(to_string(c.bug), g.detected ? "yes" : "NO",
                static_cast<std::uint64_t>(g.shrunk_events), g.oracle_runs,
-               g.replay_same_class && g.replay_deterministic ? "ok" : "FAIL");
+               g.replay_same_class && g.replay_deterministic ? "ok" : "FAIL",
+               g.replay_digest.empty() ? "-" : g.replay_digest);
     planted_ok = planted_ok && g.ok();
     planted.push_back(g);
   }
@@ -256,17 +266,27 @@ int main(int argc, char** argv) {
     if (!repro_path.empty()) {
       std::fprintf(f, "  \"repro_file\": \"%s\",\n", repro_path.c_str());
     }
+    std::fprintf(f, "  \"seed_digests\": {\n");
+    for (std::size_t i = 0; i < campaign.runs.size(); ++i) {
+      const auto& r = campaign.runs[i];
+      std::fprintf(f, "    \"%llu\": \"%s\"%s\n",
+                   static_cast<unsigned long long>(r.seed),
+                   r.digest.hex().c_str(),
+                   i + 1 < campaign.runs.size() ? "," : "");
+    }
+    std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"planted\": {\n");
     for (std::size_t i = 0; i < planted.size(); ++i) {
       const PlantedGate& g = planted[i];
       std::fprintf(f,
                    "    \"%s\": {\"detected\": %s, \"shrunk_events\": %zu, "
-                   "\"oracle_runs\": %d, \"replay_ok\": %s}%s\n",
+                   "\"oracle_runs\": %d, \"replay_ok\": %s, "
+                   "\"replay_digest\": \"%s\"}%s\n",
                    to_string(g.bug), json_bool(g.detected).c_str(),
                    g.shrunk_events, g.oracle_runs,
                    json_bool(g.replay_same_class && g.replay_deterministic)
                        .c_str(),
-                   i + 1 < planted.size() ? "," : "");
+                   g.replay_digest.c_str(), i + 1 < planted.size() ? "," : "");
     }
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"planted_ok\": %s\n", json_bool(planted_ok).c_str());

@@ -1,11 +1,11 @@
 // E22 — Causal tracing + SLO health plane bench: observability must be
 // cheap, must account for the latencies it explains, and must report the
-// same story at every shard count.
+// same story on every run.
 //
 // Three gates, each a hard exit-code failure:
 //   1. Overhead: the full observability stack — flight recorder, windowed
 //      HealthMonitor evaluation at time barriers, span recording, and trace
-//      assembly — attached to the e15-style dataplane workload must cost
+//      assembly — attached to the dataplane workload must cost
 //      < 5% in events/sec (warm-up + best-of-N interleaved reps) and must
 //      be passive (identical delivery digest with and without it).
 //   2. Critical path vs wall: the assembled deploy-cycle and migration
@@ -13,11 +13,11 @@
 //      critical_total() == trace interval holds by construction (the
 //      critical path partitions the interval); the gate cross-checks that
 //      interval against the client's own wall measurement.
-//   3. get-alerts / get-trace shard-consistency: the same scripted SLO
-//      story (slow deploys, a retransmission burst that fires and then
-//      clears, one cross-node deploy trace) served through the audited ops
-//      verbs must produce byte-identical digests on a 4-shard and a 1-shard
-//      run, with the wire digest matching a recomputation over the carried
+//   3. get-alerts / get-trace consistency: the same scripted SLO story
+//      (slow deploys, a retransmission burst that fires and then clears,
+//      one cross-node deploy trace) served through the audited ops verbs
+//      must produce byte-identical digests on two runs with the same seed,
+//      with the wire digest matching a recomputation over the carried
 //      payload.
 //
 // Prints BENCH_tracing.json (override with PVN_BENCH_JSON). Quick mode
@@ -26,197 +26,30 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <ctime>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common.h"
-#include "mbox/host.h"
-#include "mbox/inline_modules.h"
-#include "netsim/router.h"
+#include "dataplane_scenario.h"
 #include "ops/client.h"
 #include "ops/endpoint.h"
 #include "ops/flight_recorder.h"
 #include "ops/health.h"
 #include "proto/ops.h"
-#include "sdn/switch.h"
 #include "telemetry/assembler.h"
 #include "telemetry/span.h"
 #include "testbed/roaming.h"
 #include "testbed/testbed.h"
 
 using namespace pvn;
+using bench::DataplaneScenario;
+using bench::thread_cpu_seconds;
 
 namespace {
 
 std::string json_bool(bool b) { return b ? "true" : "false"; }
-
-double thread_cpu_seconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFF;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-// --- the e15 dataplane workload (as in bench_e20_ops) ------------------------
-
-class BenchSink : public Node {
- public:
-  BenchSink(Network& net, std::string name) : Node(net, std::move(name)) {}
-  void handle_packet(Packet pkt, int) override {
-    const int flow = pkt.l4[0] | (pkt.l4[1] << 8);
-    const int seq = pkt.l4[2] | (pkt.l4[3] << 8);
-    per_flow[flow].push_back(seq);
-    ++delivered;
-  }
-  std::map<int, std::vector<int>> per_flow;
-  std::uint64_t delivered = 0;
-};
-
-class BenchSource : public Node {
- public:
-  BenchSource(Network& net, std::string name) : Node(net, std::move(name)) {}
-  void handle_packet(Packet, int) override {}
-
-  void start_flow(Network& net, int flow, int total_flows, int packets,
-                  Ipv4Addr src, Ipv4Addr dst) {
-    const SimDuration spacing = total_flows * microseconds(2);
-    const SimTime first = milliseconds(1) + flow * microseconds(2);
-    schedule_send(net, flow, 0, packets, src, dst, first, spacing);
-  }
-
- private:
-  void schedule_send(Network& net, int flow, int seq, int total, Ipv4Addr src,
-                     Ipv4Addr dst, SimTime at, SimDuration spacing) {
-    sim().schedule_at(at, SimCategory::kWorkload, [=, &net, this] {
-      Bytes payload(256, 0x5A);
-      payload[0] = static_cast<std::uint8_t>(flow & 0xFF);
-      payload[1] = static_cast<std::uint8_t>(flow >> 8);
-      payload[2] = static_cast<std::uint8_t>(seq & 0xFF);
-      payload[3] = static_cast<std::uint8_t>(seq >> 8);
-      send(0, net.make_packet(src, dst, IpProto::kUdp, std::move(payload)));
-      if (seq + 1 < total) {
-        schedule_send(net, flow, seq + 1, total, src, dst, at + spacing,
-                      spacing);
-      }
-    });
-  }
-};
-
-struct DataplaneScenario {
-  static constexpr int kNetworks = 4;
-
-  DataplaneScenario(std::size_t shards, int flows, int packets_per_flow,
-                    bool with_admin)
-      : net(/*seed=*/7, shards, /*lookahead=*/milliseconds(1)) {
-    net.set_burst_window(microseconds(50));
-    net.set_build_shard(0);
-    core = &net.add_node<Router>("core");
-
-    if (with_admin) {
-      ops_host = &net.add_node<Host>("ops", Ipv4Addr(10, 99, 0, 1));
-      admin_host = &net.add_node<Host>("admin", Ipv4Addr(10, 99, 0, 2));
-      LinkParams mgmt;
-      mgmt.rate = Rate::gbps(1);
-      mgmt.latency = microseconds(100);
-      net.connect(*admin_host, *ops_host, mgmt);
-      endpoint = std::make_unique<OpsEndpoint>(*ops_host);
-      client = std::make_unique<OpsClient>(*admin_host, Ipv4Addr(10, 99, 0, 1));
-    }
-
-    LinkParams access;
-    access.rate = Rate::gbps(10);
-    access.latency = microseconds(10);
-    LinkParams backbone;
-    backbone.rate = Rate::gbps(10);
-    backbone.latency = milliseconds(1);
-
-    for (int k = 0; k < kNetworks; ++k) {
-      net.set_build_shard(static_cast<std::size_t>(k) % net.shard_count());
-      const std::string id = std::to_string(k);
-      auto& src = net.add_node<BenchSource>("src-" + id);
-      auto& sw = net.add_node<SdnSwitch>("sw-" + id, 1);
-      auto& sink = net.add_node<BenchSink>("sink-" + id);
-      net.connect(src, sw, access);
-      net.connect(sw, sink, access);
-      net.connect(sw, *core, backbone);
-
-      auto host = std::make_unique<MboxHost>(
-          net.shards().shard(static_cast<std::size_t>(k) % net.shard_count()));
-      Chain& chain = host->create_chain("chain-" + id);
-      for (int m = 0; m < 5; ++m) {
-        modules.push_back(std::make_unique<PiiDetector>(
-            std::vector<std::string>{"imei=", "password=", "lat="},
-            PiiAction::kMonitor));
-        chain.append(modules.back().get());
-      }
-      sw.register_processor("chain-" + id, &chain);
-      hosts.push_back(std::move(host));
-
-      FlowRule local;
-      local.priority = 100;
-      local.match.dst =
-          Prefix{Ipv4Addr(10, static_cast<std::uint8_t>(k), 0, 0), 16};
-      local.actions.push_back(ActMbox{"chain-" + id});
-      local.actions.push_back(ActOutput{1});
-      sw.table(0).add(local);
-      FlowRule remote;
-      remote.priority = 1;
-      remote.actions.push_back(ActOutput{2});
-      sw.table(0).add(remote);
-      core->add_route(
-          Prefix{Ipv4Addr(10, static_cast<std::uint8_t>(k), 0, 0), 16}, k);
-
-      sources.push_back(&src);
-      sinks.push_back(&sink);
-    }
-
-    for (int f = 0; f < flows; ++f) {
-      const int k = f % kNetworks;
-      const Ipv4Addr from(10, static_cast<std::uint8_t>(k), 0, 2);
-      const int dst_net = (f % 10 == 0) ? (k + 1) % kNetworks : k;
-      const Ipv4Addr to(10, static_cast<std::uint8_t>(dst_net), 0, 50);
-      sources[static_cast<std::size_t>(k)]->start_flow(net, f, flows,
-                                                       packets_per_flow, from,
-                                                       to);
-    }
-  }
-
-  std::uint64_t digest() const {
-    std::uint64_t h = 1469598103934665603ull;
-    for (const BenchSink* sink : sinks) {
-      for (const auto& [flow, seqs] : sink->per_flow) {
-        h = fnv1a(h, static_cast<std::uint64_t>(flow));
-        for (const int s : seqs) h = fnv1a(h, static_cast<std::uint64_t>(s));
-      }
-    }
-    std::uint64_t n = 0;
-    for (const BenchSink* sink : sinks) n += sink->delivered;
-    return fnv1a(h, n);
-  }
-
-  Network net;
-  Router* core = nullptr;
-  Host* ops_host = nullptr;
-  Host* admin_host = nullptr;
-  std::unique_ptr<OpsEndpoint> endpoint;
-  std::unique_ptr<OpsClient> client;
-  std::vector<BenchSource*> sources;
-  std::vector<BenchSink*> sinks;
-  std::vector<std::unique_ptr<MboxHost>> hosts;
-  std::vector<std::unique_ptr<Middlebox>> modules;
-};
 
 // --- gate 1: observability overhead ------------------------------------------
 
@@ -237,8 +70,7 @@ struct DataplaneRun {
 };
 
 DataplaneRun run_dataplane(bool observability, int flows, int packets) {
-  DataplaneScenario sc(/*shards=*/1, flows, packets, /*with_admin=*/false);
-  sc.net.shards().enable_time_barriers();
+  DataplaneScenario sc(flows, packets, /*with_admin=*/false);
   FlightRecorder rec;
   HealthMonitorConfig hcfg;
   hcfg.window = milliseconds(5);
@@ -254,7 +86,7 @@ DataplaneRun run_dataplane(bool observability, int flows, int packets) {
   // comparison isolates the observability work, not the barrier plumbing.
   for (SimTime t = milliseconds(5); t <= milliseconds(80);
        t += milliseconds(5)) {
-    sc.net.shards().at_time_barrier(t, [&spans, &health, t, observability] {
+    sc.net.sim().at_time_barrier(t, [&spans, &health, t, observability] {
       if (!observability) return;
       telemetry::Span tick = spans.start("health_tick", "ops", "",
                                          spans.new_trace(), "monitor");
@@ -263,7 +95,7 @@ DataplaneRun run_dataplane(bool observability, int flows, int packets) {
     });
   }
   const double t0 = thread_cpu_seconds();
-  const std::size_t events = sc.net.run_parallel();
+  const std::size_t events = sc.net.sim().run();
   DataplaneRun r;
   if (observability) {
     // Assembly is part of what an operator pays for: include it in the
@@ -393,19 +225,16 @@ PathResult measure_migration_path() {
   return finish_path(outcome, switched - started, tb.roaming_pvnc().name);
 }
 
-// --- gate 3: get-alerts / get-trace shard consistency ------------------------
+// --- gate 3: get-alerts / get-trace consistency -----------------------------
 
-// The same scripted SLO story at every shard count: nine slow deploys (p99
-// breaches from the second window on), a retransmission burst that fires the
-// rate rule and then clears (hysteresis visible in the digest), and one
-// cross-node deploy trace for "alice-phone". A light dataplane load keeps
-// all shards busy while the verbs are served.
+// The same scripted SLO story on every run: nine slow deploys (p99 breaches
+// from the second window on), a retransmission burst that fires the rate
+// rule and then clears (hysteresis visible in the digest), and one
+// cross-node deploy trace for "alice-phone". A light dataplane load runs
+// while the verbs are served.
 struct HealthScenario {
-  explicit HealthScenario(std::size_t shards)
-      : inner(shards, /*flows=*/8, /*packets_per_flow=*/100,
-              /*with_admin=*/true) {
-    inner.net.shards().enable_time_barriers();
-
+  HealthScenario()
+      : inner(/*flows=*/8, /*packets_per_flow=*/100, /*with_admin=*/true) {
     health = std::make_unique<HealthMonitor>();
     for (HealthRule& rule : HealthMonitor::default_rules()) {
       health->add_rule(std::move(rule));
@@ -413,7 +242,7 @@ struct HealthScenario {
     inner.endpoint->set_health_monitor(health.get());
     inner.endpoint->set_span_recorder(&telemetry::SpanRecorder::global());
 
-    Simulator& sim0 = inner.net.shards().shard(0);
+    Simulator& sim0 = inner.net.sim();
     telemetry::SpanRecorder& rec = telemetry::SpanRecorder::global();
     rec.clear();  // trace/span ids restart at 1: reproducible across runs
     rec.set_clock(&sim0);
@@ -456,7 +285,7 @@ struct HealthScenario {
     // Periodic health evaluation at barrier cuts, as the testbed wires it.
     for (SimTime t = milliseconds(200); t <= milliseconds(1000);
          t += milliseconds(200)) {
-      inner.net.shards().at_time_barrier(t, [this, t] { health->evaluate(t); });
+      sim0.at_time_barrier(t, [this, t] { health->evaluate(t); });
     }
   }
 
@@ -467,7 +296,6 @@ struct HealthScenario {
 
 struct ConsistencyRun {
   bool replied = false;
-  std::uint32_t shard_count = 0;
   SimTime barrier_time = 0;
   std::size_t alert_count = 0;
   std::size_t firing = 0;
@@ -480,24 +308,22 @@ struct ConsistencyRun {
   bool trace_wire_ok = false;
 };
 
-ConsistencyRun run_consistency(std::size_t shards) {
-  HealthScenario sc(shards);
+ConsistencyRun run_consistency() {
+  HealthScenario sc;
   std::optional<OpsAlertsReply> alerts;
   std::optional<OpsTraceReply> trace;
-  sc.inner.net.shards().shard(0).schedule_at(
+  sc.inner.net.sim().schedule_at(
       milliseconds(1050), SimCategory::kPvnControl, [&sc, &alerts, &trace] {
         sc.inner.client->request_alerts(
             [&alerts](const OpsAlertsReply& r) { alerts = r; });
         sc.inner.client->request_causal_trace(
             "alice-phone", [&trace](const OpsTraceReply& r) { trace = r; });
       });
-  sc.inner.net.run_parallel_until(milliseconds(1300));
-  sc.inner.net.run_parallel();
+  sc.inner.net.sim().run();
 
   ConsistencyRun out;
   if (!alerts.has_value() || !trace.has_value()) return out;
   out.replied = true;
-  out.shard_count = alerts->shard_count;
   out.barrier_time = alerts->barrier_time;
   out.alert_count = alerts->alerts.size();
   for (const OpsAlert& a : alerts->alerts) out.firing += a.firing != 0;
@@ -527,7 +353,7 @@ int main(int argc, char** argv) {
 
   bench::title("E22 — causal tracing + health plane",
                "observability must cost < 5%, explain the latencies it "
-               "reports, and tell one story at every shard count");
+               "reports, and tell one story on every run");
 
   // Gate 1: overhead of the full observability stack on the dataplane.
   const OverheadResult oh = measure_overhead(quick);
@@ -557,32 +383,29 @@ int main(int argc, char** argv) {
   std::printf("critical path accounts for wall time (±%.0f%%): %s\n", tol_pct,
               deploy_ok && migration_ok ? "yes" : "NO");
 
-  // Gate 3: the audited verbs agree across shard counts.
-  const ConsistencyRun c1 = run_consistency(1);
-  const ConsistencyRun c4 = run_consistency(4);
+  // Gate 3: the audited verbs agree between two runs with the same seed.
+  const ConsistencyRun c1 = run_consistency();
+  const ConsistencyRun c2 = run_consistency();
   const bool consistent =
-      c1.replied && c4.replied && c1.shard_count == 1 && c4.shard_count == 4 &&
-      c1.barrier_time == c4.barrier_time && c1.alert_count > 0 &&
-      c1.firing > 0 && c1.firing < c1.alert_count &&  // fired AND cleared
-      c1.alerts_digest == c4.alerts_digest && c1.alerts_wire_ok &&
-      c4.alerts_wire_ok && c1.trace_found && c4.trace_found &&
-      c1.trace_spans == c4.trace_spans && c1.trace_spans >= 3 &&
-      c1.trace_digest == c4.trace_digest && c1.trace_wire_ok &&
-      c4.trace_wire_ok;
+      c1.replied && c2.replied && c1.barrier_time == c2.barrier_time &&
+      c1.alert_count > 0 && c1.firing > 0 &&
+      c1.firing < c1.alert_count &&  // fired AND cleared
+      c1.alerts_digest == c2.alerts_digest && c1.alerts_wire_ok &&
+      c2.alerts_wire_ok && c1.trace_found && c2.trace_found &&
+      c1.trace_spans == c2.trace_spans && c1.trace_spans >= 3 &&
+      c1.trace_digest == c2.trace_digest && c1.trace_wire_ok &&
+      c2.trace_wire_ok;
   std::printf("\n");
   bench::header(
-      {"shards", "alerts(firing)", "alerts digest", "spans", "trace digest"});
-  bench::row(1,
-             std::to_string(c1.alert_count) + "(" + std::to_string(c1.firing) +
-                 ")",
-             c1.alerts_digest, static_cast<std::uint64_t>(c1.trace_spans),
-             c1.trace_digest);
-  bench::row(4,
-             std::to_string(c4.alert_count) + "(" + std::to_string(c4.firing) +
-                 ")",
-             c4.alerts_digest, static_cast<std::uint64_t>(c4.trace_spans),
-             c4.trace_digest);
-  std::printf("get-alerts/get-trace shard-consistency: %s\n",
+      {"run", "alerts(firing)", "alerts digest", "spans", "trace digest"});
+  for (const auto& [run, c] : {std::pair{1, &c1}, std::pair{2, &c2}}) {
+    bench::row(run,
+               std::to_string(c->alert_count) + "(" +
+                   std::to_string(c->firing) + ")",
+               c->alerts_digest, static_cast<std::uint64_t>(c->trace_spans),
+               c->trace_digest);
+  }
+  std::printf("get-alerts/get-trace rerun consistency: %s\n",
               consistent ? "consistent" : "MISMATCH");
 
   if (telemetry_scope.enabled()) {
@@ -618,16 +441,16 @@ int main(int argc, char** argv) {
                  json_bool(migration_ok).c_str());
     std::fprintf(f, "  \"alerts\": %zu,\n", c1.alert_count);
     std::fprintf(f, "  \"alerts_firing\": %zu,\n", c1.firing);
-    std::fprintf(f, "  \"alerts_digest_1shard\": %llu,\n",
+    std::fprintf(f, "  \"alerts_digest\": %llu,\n",
                  static_cast<unsigned long long>(c1.alerts_digest));
-    std::fprintf(f, "  \"alerts_digest_4shard\": %llu,\n",
-                 static_cast<unsigned long long>(c4.alerts_digest));
+    std::fprintf(f, "  \"alerts_digest_rerun\": %llu,\n",
+                 static_cast<unsigned long long>(c2.alerts_digest));
     std::fprintf(f, "  \"trace_spans\": %zu,\n", c1.trace_spans);
-    std::fprintf(f, "  \"trace_digest_1shard\": %llu,\n",
+    std::fprintf(f, "  \"trace_digest\": %llu,\n",
                  static_cast<unsigned long long>(c1.trace_digest));
-    std::fprintf(f, "  \"trace_digest_4shard\": %llu,\n",
-                 static_cast<unsigned long long>(c4.trace_digest));
-    std::fprintf(f, "  \"shard_consistent\": %s\n",
+    std::fprintf(f, "  \"trace_digest_rerun\": %llu,\n",
+                 static_cast<unsigned long long>(c2.trace_digest));
+    std::fprintf(f, "  \"rerun_consistent\": %s\n",
                  json_bool(consistent).c_str());
     std::fprintf(f, "}\n");
     std::fclose(f);

@@ -1,5 +1,6 @@
 #include "chaos/auditor.h"
 
+#include <algorithm>
 #include <cstddef>
 
 #include "audit/telemetry_check.h"
@@ -12,16 +13,12 @@ InvariantAuditor::InvariantAuditor(PopulationTestbed& tb,
     : tb_(&tb), cfg_(cfg) {}
 
 void InvariantAuditor::arm(SimTime until) {
-  // Barrier callbacks run on the coordinator at a globally-consistent cut.
   // One barrier per period across the whole run, registered up front: the
-  // count is bounded (run length / period) and the registration order is
-  // trivially deterministic.
-  ShardGroup& shards = tb_->net.shards();
-  const SimTime first =
-      std::max<SimTime>(tb_->net.sim().now() + shards.lookahead(),
-                        cfg_.period);
-  for (SimTime when = first; when <= until; when += cfg_.period) {
-    shards.at_time_barrier(when, [this] { audit(); });
+  // count is bounded (run length / period) and each audit sees an exact cut.
+  Simulator& sim = tb_->net.sim();
+  for (SimTime when = std::max(sim.now(), cfg_.period); when <= until;
+       when += cfg_.period) {
+    sim.at_time_barrier(when, [this] { audit(); });
   }
 }
 
@@ -32,8 +29,7 @@ void InvariantAuditor::flag(const std::string& invariant, std::string detail) {
   v.detail = std::move(detail);
   // Violations are rare, so the SLO-context capture can afford a monitor
   // evaluation and a trace assembly: flag() runs at a barrier cut (audit()
-  // is a barrier callback), exactly where both are defined to be
-  // deterministic.
+  // is a barrier callback).
   if (health_ != nullptr) {
     health_->evaluate(v.at);
     v.alerts = health_->alerts();

@@ -1,8 +1,8 @@
-// Global invariant auditing at ShardGroup time barriers.
+// Global invariant auditing at simulator time barriers.
 //
 // The InvariantAuditor watches a PopulationTestbed while a chaos schedule
-// runs and checks system-wide invariants at globally-consistent cuts (the
-// coordinator side of ShardGroup::at_time_barrier). Two classes of check:
+// runs and checks system-wide invariants at exact simulated instants
+// (Simulator::at_time_barrier). Two classes of check:
 //
 //  Always (every audit period, faults may be live):
 //   * conservation  — the telemetry layer accounts agree across layers:
@@ -72,9 +72,8 @@ class InvariantAuditor {
   // (evaluated at the flagging cut) plus the newest assembled causal trace.
   void set_health_monitor(HealthMonitor* hm) { health_ = hm; }
 
-  // Registers the barrier-audit chain on tb.net.shards(): one audit per
-  // period until `until`. The caller must enable_time_barriers() before the
-  // run. Call before tb.net.run_parallel_until(...).
+  // Registers the barrier-audit chain on tb.net.sim(): one audit per
+  // period until `until`. Call before running the simulator.
   void arm(SimTime until);
 
   // The always-on invariant checks, at the current simulated time. Runs on

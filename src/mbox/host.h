@@ -36,17 +36,6 @@ class Chain : public PacketProcessor {
   std::vector<Packet> process(Packet pkt, SimTime now,
                               SimDuration& delay) override;
 
-  // Burst run-to-completion entry point. Per-packet semantics and telemetry
-  // are identical to process() — same module verdicts, per-module counters,
-  // findings, and per-packet latency observations — but the whole burst
-  // shares one MboxContext and one injected-packet scratch buffer, and the
-  // single charged delay is the full-chain latency every forwarded packet
-  // would have been charged individually. Chains never reorder across calls,
-  // so batching is safe.
-  bool burst_capable() const override { return true; }
-  PacketBurst process_burst(PacketBurst burst, SimTime now,
-                            SimDuration& delay) override;
-
   const std::vector<MboxFinding>& findings() const { return findings_; }
   std::uint64_t packets() const { return packets_; }
 
@@ -63,8 +52,6 @@ class Chain : public PacketProcessor {
   std::vector<Middlebox*> modules_;
   std::vector<ModuleCells> module_cells_;
   std::vector<MboxFinding> findings_;
-  // Reused by process_burst so steady-state bursts allocate nothing.
-  std::vector<Packet> injected_scratch_;
   std::uint64_t packets_ = 0;
   telemetry::Counter* m_packets_ = nullptr;
   telemetry::Counter* m_dropped_ = nullptr;

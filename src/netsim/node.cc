@@ -7,14 +7,9 @@ namespace pvn {
 
 Node::Node(Network& net, std::string name)
     : net_(&net),
-      sim_(&net.shards().shard(net.build_shard())),
-      shard_(net.build_shard()),
+      sim_(&net.sim()),
       name_(std::move(name)),
       log_(name_) {}
-
-void Node::handle_burst(PacketBurst burst, int in_port) {
-  for (Packet& pkt : burst) handle_packet(std::move(pkt), in_port);
-}
 
 Link* Node::port_link(int port) const {
   if (port < 0 || port >= static_cast<int>(ports_.size())) return nullptr;

@@ -27,21 +27,12 @@ class Node {
   // Invoked by a Link when a packet arrives on `in_port`.
   virtual void handle_packet(Packet pkt, int in_port) = 0;
 
-  // Invoked by a Link delivering a coalesced burst (burst window > 0, see
-  // Network::set_burst_window). The default unbatches into handle_packet();
-  // dataplane nodes on the hot path (SdnSwitch) override it to run the whole
-  // burst to completion.
-  virtual void handle_burst(PacketBurst burst, int in_port);
-
   const std::string& name() const { return name_; }
   // Interned id of name() in network().names(); assigned at registration.
   std::uint32_t name_id() const { return name_id_; }
   Network& network() { return *net_; }
-  // The simulator of this node's shard (cached at construction; equals
-  // network().sim() in single-shard networks).
+  // The network's simulator (cached at construction).
   Simulator& sim() { return *sim_; }
-  // Event shard this node lives on (Network::set_build_shard at creation).
-  std::size_t shard() const { return shard_; }
 
   // Crash/restart state (driven by netsim/faults.h). A down node neither
   // sends nor receives: Links drop deliveries to it and send() discards.
@@ -70,7 +61,6 @@ class Node {
 
   Network* net_;
   Simulator* sim_;
-  std::size_t shard_;
   std::string name_;
   std::uint32_t name_id_ = 0;
   std::vector<Link*> ports_;

@@ -18,7 +18,6 @@
 #include "netsim/addr.h"
 #include "netsim/names.h"
 #include "util/bytes.h"
-#include "util/small_vector.h"
 #include "util/time.h"
 
 namespace pvn {
@@ -77,11 +76,6 @@ struct Packet {
 
   // --- simulation instrumentation (not on the wire) ---
   SimTime created_at = 0;
-  // Wire-arrival time at the most recent hop, stamped by Link on delivery.
-  // Under burst coalescing (Network::set_burst_window) the delivery *event*
-  // fires up to one window after this instant; arrived_at preserves the
-  // exact per-packet serialization+propagation time for tests and benches.
-  SimTime arrived_at = 0;
   HopTrace hop_trace;  // node ids traversed (ground truth)
   // Causal trace that caused this packet (telemetry/trace.h ids); 0 =
   // untraced. Out-of-band like the hop trace: invisible to protocol logic,
@@ -93,27 +87,6 @@ struct Packet {
   // Stable 5-tuple-ish hash used by ECMP-style choices and flow counters.
   // L4 ports are not parsed here; uses src/dst/proto plus a prefix of l4.
   std::uint64_t flow_hash() const;
-};
-
-// A batch of packets delivered by one simulator event (the burst
-// run-to-completion dataplane, DESIGN.md "Hot paths"). Storage is a
-// small-vector: bursts up to kInline packets live entirely on the event
-// callback's stack/inline buffer; payload bytes are CoW SharedBytes refs, so
-// a burst never copies packet data. Packets appear in wire-arrival order.
-struct PacketBurst {
-  static constexpr std::size_t kInline = 8;
-  SmallVector<Packet, kInline> pkts;
-
-  std::size_t size() const { return pkts.size(); }
-  bool empty() const { return pkts.empty(); }
-  Packet& operator[](std::size_t i) { return pkts[i]; }
-  const Packet& operator[](std::size_t i) const { return pkts[i]; }
-  Packet* begin() { return pkts.begin(); }
-  Packet* end() { return pkts.end(); }
-  const Packet* begin() const { return pkts.begin(); }
-  const Packet* end() const { return pkts.end(); }
-  void push_back(Packet&& p) { pkts.push_back(std::move(p)); }
-  void clear() { pkts.clear(); }
 };
 
 }  // namespace pvn

@@ -5,19 +5,14 @@
 namespace pvn {
 
 void TraceCollector::attach(Link& link) {
-  // add_burst_tap (not set_tap): attaching a collector must not evict other
-  // observers already on the link, and a burst-aware tap records a coalesced
-  // burst in one call instead of forcing per-packet unbatching. Records are
-  // stamped with each packet's exact wire arrival (Packet::arrived_at), so
-  // the trace is identical whatever the burst window.
-  link.add_burst_tap(
-      [this](const PacketBurst& burst, const Node& from, const Node& to) {
-        for (const Packet& pkt : burst) {
-          records_.push_back(TraceRecord{pkt.arrived_at, pkt.id, from.name(),
-                                         to.name(), pkt.ip.src, pkt.ip.dst,
-                                         pkt.ip.proto, pkt.size()});
-        }
-      });
+  // add_tap (not set_tap): attaching a collector must not evict other
+  // observers already on the link. Taps run at delivery, so now() is the
+  // packet's wire-arrival time.
+  link.add_tap([this](const Packet& pkt, const Node& from, const Node& to) {
+    records_.push_back(TraceRecord{sim_->now(), pkt.id, from.name(), to.name(),
+                                   pkt.ip.src, pkt.ip.dst, pkt.ip.proto,
+                                   pkt.size()});
+  });
 }
 
 std::uint64_t TraceCollector::bytes_from_to(const std::string& from,

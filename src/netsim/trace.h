@@ -28,7 +28,7 @@ class TraceCollector {
  public:
   explicit TraceCollector(Simulator& sim) : sim_(&sim) {}
 
-  // Installs this collector as the link's tap (replacing any existing tap).
+  // Adds this collector as one more tap on `link`; other taps stay.
   void attach(Link& link);
 
   const std::vector<TraceRecord>& records() const { return records_; }

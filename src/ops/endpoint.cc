@@ -10,7 +10,6 @@
 #include "sdn/controller.h"
 #include "telemetry/assembler.h"
 #include "telemetry/span.h"
-#include "util/shard.h"
 
 namespace pvn {
 
@@ -133,18 +132,13 @@ void OpsEndpoint::on_datagram(Ipv4Addr src, Port sport,
 
 void OpsEndpoint::handle_snapshot(Ipv4Addr src, Port sport,
                                   const OpsSnapshotRequest& q) {
-  ShardGroup& group = host_->network().shards();
-  // Cut at the earliest instant every shard can be quiesced at: one
-  // lookahead past now (the same bound post() lives under). The barrier
-  // callback runs on the coordinator between windows, where all shard
-  // writes are visible (the window rendezvous is the happens-before edge).
-  const SimTime cut = host_->sim().now() + group.lookahead();
-  const std::size_t my_shard = host_->shard();
-  group.at_time_barrier(cut, [this, src, sport, q, cut, &group, my_shard] {
+  // Cut kOpsCutDelay past the request: the registry is read after every
+  // event before the cut and before any event at or after it.
+  const SimTime cut = host_->sim().now() + kOpsCutDelay;
+  host_->sim().at_time_barrier(cut, [this, src, sport, q, cut] {
     OpsSnapshotReply reply;
     reply.seq = q.seq;
     reply.barrier_time = cut;
-    reply.shard_count = static_cast<std::uint32_t>(group.shard_count());
     const telemetry::MetricsSnapshot snap = registry_->snapshot();
     for (const telemetry::MetricSample& s : snap.samples) {
       if (!q.prefix.empty() && s.name.rfind(q.prefix, 0) != 0) continue;
@@ -161,13 +155,13 @@ void OpsEndpoint::handle_snapshot(Ipv4Addr src, Port sport,
     reply.digest = ops_snapshot_digest(reply.samples);
     ++snapshots_;
     m_snapshots_->inc();
-    // Send from the cut instant, as an ordinary event on our shard (the
-    // coordinator is between windows here, so this schedules directly).
+    // Send from the cut instant, as an ordinary event.
     Bytes datagram = reply.encode();
-    group.post(my_shard, cut, SimCategory::kPvnControl,
-               [this, src, sport, datagram = std::move(datagram)] {
-                 send(src, sport, OpsMsgType::kSnapshotReply, datagram);
-               });
+    host_->sim().schedule_at(
+        cut, SimCategory::kPvnControl,
+        [this, src, sport, datagram = std::move(datagram)] {
+          send(src, sport, OpsMsgType::kSnapshotReply, datagram);
+        });
   });
 }
 
@@ -356,17 +350,13 @@ void OpsEndpoint::audit_query(Ipv4Addr src, std::uint32_t seq,
 
 void OpsEndpoint::handle_alerts(Ipv4Addr src, Port sport,
                                 const OpsAlertsRequest& q) {
-  ShardGroup& group = host_->network().shards();
-  // Same cut discipline as handle_snapshot: evaluate the monitor exactly at
-  // a barrier every shard has quiesced at, so the alert list (and digest)
-  // cannot depend on shard count.
-  const SimTime cut = host_->sim().now() + group.lookahead();
-  const std::size_t my_shard = host_->shard();
-  group.at_time_barrier(cut, [this, src, sport, q, cut, &group, my_shard] {
+  // Same cut discipline as handle_snapshot: the monitor is evaluated at a
+  // barrier, so the alert list (and digest) is a function of the cut alone.
+  const SimTime cut = host_->sim().now() + kOpsCutDelay;
+  host_->sim().at_time_barrier(cut, [this, src, sport, q, cut] {
     OpsAlertsReply reply;
     reply.seq = q.seq;
     reply.barrier_time = cut;
-    reply.shard_count = static_cast<std::uint32_t>(group.shard_count());
     if (health_ != nullptr) {
       health_->evaluate(cut);
       reply.alerts = health_->alerts();
@@ -377,31 +367,28 @@ void OpsEndpoint::handle_alerts(Ipv4Addr src, Port sport,
     std::size_t firing = 0;
     for (const OpsAlert& a : reply.alerts) firing += a.firing;
     Bytes datagram = reply.encode();
-    group.post(my_shard, cut, SimCategory::kPvnControl,
-               [this, src, sport, q, firing, n = reply.alerts.size(),
-                datagram = std::move(datagram)] {
-                 audit_query(src, q.seq, "get-alerts",
-                             std::to_string(firing) + " firing of " +
-                                 std::to_string(n) + " alerts");
-                 send(src, sport, OpsMsgType::kAlertsReply, datagram);
-               });
+    host_->sim().schedule_at(
+        cut, SimCategory::kPvnControl,
+        [this, src, sport, q, firing, n = reply.alerts.size(),
+         datagram = std::move(datagram)] {
+          audit_query(src, q.seq, "get-alerts",
+                      std::to_string(firing) + " firing of " +
+                          std::to_string(n) + " alerts");
+          send(src, sport, OpsMsgType::kAlertsReply, datagram);
+        });
   });
 }
 
 void OpsEndpoint::handle_causal_trace(Ipv4Addr src, Port sport,
                                       const OpsTraceRequest& q) {
-  ShardGroup& group = host_->network().shards();
-  const SimTime cut = host_->sim().now() + group.lookahead();
-  const std::size_t my_shard = host_->shard();
-  group.at_time_barrier(cut, [this, src, sport, q, cut, &group, my_shard] {
+  const SimTime cut = host_->sim().now() + kOpsCutDelay;
+  host_->sim().at_time_barrier(cut, [this, src, sport, q, cut] {
     OpsTraceReply reply;
     reply.seq = q.seq;
     reply.session = q.session;
-    reply.shard_count = static_cast<std::uint32_t>(group.shard_count());
     if (spans_ != nullptr) {
-      // Assemble at the barrier, where every ring is quiescent. All
-      // control-plane nodes share the global recorder, so one ring holds
-      // the whole cross-node trace.
+      // Assemble at the barrier. All control-plane nodes share the global
+      // recorder, so one ring holds the whole cross-node trace.
       telemetry::TraceAssembler assembler(*spans_);
       if (const auto t = assembler.latest_for_session(q.session)) {
         reply.found = true;
@@ -425,15 +412,15 @@ void OpsEndpoint::handle_causal_trace(Ipv4Addr src, Port sport,
     ++traces_served_;
     m_traces_->inc();
     Bytes datagram = reply.encode();
-    group.post(my_shard, cut, SimCategory::kPvnControl,
-               [this, src, sport, q, found = reply.found,
-                n = reply.spans.size(), datagram = std::move(datagram)] {
-                 audit_query(src, q.seq, "get-trace",
-                             found ? q.session + ": " + std::to_string(n) +
-                                         " spans"
-                                   : q.session + ": no trace");
-                 send(src, sport, OpsMsgType::kTraceReply, datagram);
-               });
+    host_->sim().schedule_at(
+        cut, SimCategory::kPvnControl,
+        [this, src, sport, q, found = reply.found, n = reply.spans.size(),
+         datagram = std::move(datagram)] {
+          audit_query(src, q.seq, "get-trace",
+                      found ? q.session + ": " + std::to_string(n) + " spans"
+                            : q.session + ": no trace");
+          send(src, sport, OpsMsgType::kTraceReply, datagram);
+        });
   });
 }
 

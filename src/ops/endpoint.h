@@ -3,12 +3,10 @@
 // An OpsEndpoint binds kOpsPort on a Host inside the simulated network and
 // serves the ops protocol (proto/ops.h):
 //
-//   * Metrics snapshots, cut at a ShardGroup time barrier so a 4-shard run
-//     reports exactly the same numbers as a 1-shard run of the same
-//     topology at the same simulated instant. The handler arms the barrier
-//     at now + lookahead (the earliest time every shard can be quiesced
-//     at), captures the registry there, and sends the reply as an ordinary
-//     simulated datagram from that instant.
+//   * Metrics snapshots, cut at a simulator time barrier so the numbers are
+//     those of an exact simulated instant. The handler arms the barrier at
+//     now + kOpsCutDelay, captures the registry there, and sends the reply
+//     as an ordinary simulated datagram from that instant.
 //   * Per-session introspection, joining the DeploymentServer's registry
 //     (chain placement, lease, standby health), the HostScoreboard
 //     (reputation + quarantine of the session's standby host), and the
@@ -22,8 +20,8 @@
 //   * The SLO health plane: get-alerts evaluates the wired HealthMonitor at
 //     a barrier cut and returns its typed alerts; get-trace assembles the
 //     newest stitched causal trace for one session (spans + critical path)
-//     at a barrier. Both replies carry a digest that is byte-identical at
-//     every shard count, and both queries land in the audit log.
+//     at a barrier. Both replies carry a digest over their payload, and
+//     both queries land in the audit log.
 //
 // All collaborators are optional: an endpoint wired to nothing still serves
 // snapshots (of the global registry) and answers everything else with a

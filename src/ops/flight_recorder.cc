@@ -10,7 +10,6 @@
 #include "netsim/names.h"
 #include "netsim/network.h"
 #include "util/hash.h"
-#include "util/shard.h"
 
 namespace pvn {
 namespace {
@@ -61,14 +60,10 @@ FlightRecorder::FlightRecorder(FlightRecorderConfig cfg)
 
 void FlightRecorder::attach(Network& net) {
   names_ = &net.names();
-  const std::size_t shards = net.shards().shard_count();
-  shards_.clear();
-  for (std::size_t i = 0; i < shards; ++i) {
-    auto ss = std::make_unique<ShardState>();
-    ss->ring.reserve(cfg_.ring_capacity);
-    ss->flows.assign(cfg_.flow_slots, FlowSlot{});
-    shards_.push_back(std::move(ss));
-  }
+  sim_ = &net.sim();
+  ring_.clear();
+  ring_.reserve(cfg_.ring_capacity);
+  flows_.assign(cfg_.flow_slots, FlowSlot{});
   std::size_t link_index = 0;
   for (const auto& link : net.links()) {
     links_.emplace_back();
@@ -78,88 +73,83 @@ void FlightRecorder::attach(Network& net) {
       ls->dir[d].rng.reseed(mix_u64(0xf11e7ull ^ (link_index * 2 + d)));
     }
     Link* lp = link.get();
-    lp->add_burst_tap([this, ls, lp](const PacketBurst& burst,
-                                     const Node& from, const Node&) {
-      // Hot path: an increment, a decrement, and a compare per burst — no
-      // division. The countdown reloads from the atomic interval only when
-      // it expires, so a runtime rate change (kSetSamplingRate) takes
-      // effect within one sampling period; a disabled recorder (interval
-      // 0) re-checks the interval every 65536 bursts.
+    lp->add_tap([this, ls, lp](const Packet& p, const Node& from,
+                               const Node&) {
+      // Hot path: an increment, a decrement, and a compare per packet — no
+      // division. The countdown reloads from the interval only when it
+      // expires, so a runtime rate change (kSetSamplingRate) takes effect
+      // within one sampling period; a disabled recorder (interval 0)
+      // re-checks the interval every 65536 packets.
       DirState& d = ls->dir[&from == &lp->end_a() ? 0 : 1];
-      ++d.bursts;
+      ++d.seen;
       if (d.until_next > 1) {
         --d.until_next;
         return;
       }
-      const std::uint32_t interval =
-          interval_.load(std::memory_order_relaxed);
-      if (interval == 0) {
+      if (interval_ == 0) {
         d.until_next = 1u << 16;
         return;
       }
-      const bool first = d.until_next == 0;  // direction's very first burst
-      d.until_next = interval;
-      if (first && interval > 1) return;  // align: sample the Nth, not the 1st
+      const bool first = d.until_next == 0;  // direction's very first packet
+      d.until_next = interval_;
+      if (first && interval_ > 1) return;  // align: sample the Nth, not the 1st
       ++d.sampled;
-      ShardState& ss = *shards_[ShardGroup::current_shard()];
-      const std::size_t mask = cfg_.flow_slots - 1;
-      for (const Packet& p : burst) {
-        // Inline flow key over (src, dst, proto, first l4 bytes).
-        // Packet::flow_hash() heap-allocates a writer and runs the wide
-        // digest — far too heavy to call per packet on a sampled burst;
-        // the recorder only needs a stable local identity.
-        std::uint64_t flow =
-            (static_cast<std::uint64_t>(p.ip.src.v) << 32) | p.ip.dst.v;
-        flow = hash_combine_u64(flow, static_cast<std::uint64_t>(p.ip.proto));
-        std::uint64_t ports = 0;
-        const std::size_t l4n = p.l4.size() < 8 ? p.l4.size() : 8;
-        for (std::size_t i = 0; i < l4n; ++i) {
-          ports = (ports << 8) | p.l4.data()[i];
-        }
-        flow = hash_combine_u64(flow, ports);
-        FlowSlot& slot = ss.flows[mix_u64(flow) & mask];
-        if (slot.flow != flow) {
-          slot.flow = flow;  // collision or first sight: fresh reservoir
-          slot.seen = 0;
-        }
-        ++slot.seen;
-        // Algorithm R acceptance: always keep the first per_flow_cap, then
-        // admit with probability per_flow_cap / seen.
-        if (slot.seen > cfg_.per_flow_cap &&
-            d.rng.next_below(slot.seen) >= cfg_.per_flow_cap) {
-          ++ss.rejected;
-          continue;
-        }
-        ++ss.admitted;
-        FlightSample s;
-        s.at = p.arrived_at;
-        s.packet_id = p.id;
-        s.flow_hash = flow;
-        s.trace_id = p.trace_id;
-        s.src = p.ip.src;
-        s.dst = p.ip.dst;
-        s.bytes = static_cast<std::uint32_t>(p.size());
-        const std::size_t hops =
-            std::min(p.hop_trace.ids.size(), FlightSample::kMaxHops);
-        s.hop_count = static_cast<std::uint8_t>(hops);
-        std::copy_n(p.hop_trace.ids.begin(), hops, s.hop_ids);
-        if (ss.ring.size() < cfg_.ring_capacity) {
-          ss.ring.push_back(s);
-        } else {
-          ss.ring[ss.wr] = s;
-          ss.wr = (ss.wr + 1) % cfg_.ring_capacity;
-        }
-      }
+      admit(d, p);
     });
     ++link_index;
   }
 }
 
-std::vector<FlightSample> FlightRecorder::samples() const {
-  std::vector<FlightSample> out;
-  for (const auto& ss : shards_) {
-    out.insert(out.end(), ss->ring.begin(), ss->ring.end());
+void FlightRecorder::admit(DirState& d, const Packet& p) {
+  // Inline flow key over (src, dst, proto, first l4 bytes).
+  // Packet::flow_hash() heap-allocates a writer and runs the wide digest —
+  // far too heavy for the sampling path; the recorder only needs a stable
+  // local identity.
+  std::uint64_t flow =
+      (static_cast<std::uint64_t>(p.ip.src.v) << 32) | p.ip.dst.v;
+  flow = hash_combine_u64(flow, static_cast<std::uint64_t>(p.ip.proto));
+  std::uint64_t ports = 0;
+  const std::size_t l4n = p.l4.size() < 8 ? p.l4.size() : 8;
+  for (std::size_t i = 0; i < l4n; ++i) {
+    ports = (ports << 8) | p.l4.data()[i];
   }
+  flow = hash_combine_u64(flow, ports);
+  FlowSlot& slot = flows_[mix_u64(flow) & (cfg_.flow_slots - 1)];
+  if (slot.flow != flow) {
+    slot.flow = flow;  // collision or first sight: fresh reservoir
+    slot.seen = 0;
+  }
+  ++slot.seen;
+  // Algorithm R acceptance: always keep the first per_flow_cap, then admit
+  // with probability per_flow_cap / seen.
+  if (slot.seen > cfg_.per_flow_cap &&
+      d.rng.next_below(slot.seen) >= cfg_.per_flow_cap) {
+    ++rejected_;
+    return;
+  }
+  ++admitted_;
+  FlightSample s;
+  s.at = sim_->now();
+  s.packet_id = p.id;
+  s.flow_hash = flow;
+  s.trace_id = p.trace_id;
+  s.src = p.ip.src;
+  s.dst = p.ip.dst;
+  s.bytes = static_cast<std::uint32_t>(p.size());
+  const std::size_t hops =
+      std::min(p.hop_trace.ids.size(), FlightSample::kMaxHops);
+  s.hop_count = static_cast<std::uint8_t>(hops);
+  std::copy_n(p.hop_trace.ids.begin(), hops, s.hop_ids);
+  if (ring_.size() < cfg_.ring_capacity) {
+    ring_.push_back(s);
+  } else {
+    ring_[wr_] = s;
+    wr_ = (wr_ + 1) % cfg_.ring_capacity;
+  }
+}
+
+std::vector<FlightSample> FlightRecorder::samples() const {
+  std::vector<FlightSample> out = ring_;
   std::sort(out.begin(), out.end(),
             [](const FlightSample& a, const FlightSample& b) {
               if (a.at != b.at) return a.at < b.at;
@@ -224,25 +214,21 @@ FlightRecorder::Stats FlightRecorder::stats() const {
   Stats st;
   for (const LinkState& ls : links_) {
     for (const DirState& d : ls.dir) {
-      st.bursts_seen += d.bursts;
-      st.bursts_sampled += d.sampled;
+      st.packets_seen += d.seen;
+      st.packets_sampled += d.sampled;
     }
   }
-  for (const auto& ss : shards_) {
-    st.packets_admitted += ss->admitted;
-    st.packets_rejected += ss->rejected;
-  }
+  st.packets_admitted = admitted_;
+  st.packets_rejected = rejected_;
   return st;
 }
 
 void FlightRecorder::clear() {
-  for (const auto& ss : shards_) {
-    ss->ring.clear();
-    ss->wr = 0;
-    ss->flows.assign(cfg_.flow_slots, FlowSlot{});
-    ss->admitted = 0;
-    ss->rejected = 0;
-  }
+  ring_.clear();
+  wr_ = 0;
+  flows_.assign(cfg_.flow_slots, FlowSlot{});
+  admitted_ = 0;
+  rejected_ = 0;
 }
 
 }  // namespace pvn

@@ -105,13 +105,16 @@ void HttpParser::feed(const Bytes& chunk) {
     }
     if (n == 0) return;
     const std::size_t head_bytes = head_bytes_in(p, n);
-    if (head_bytes == std::string::npos) {
-      buf_.append(p, p + n);
+    const std::size_t take = head_bytes == std::string::npos ? n : head_bytes;
+    if (buf_.size() + take > kMaxHeadBytes) {
+      error_ = true;
+      std::string().swap(buf_);
       return;
     }
-    buf_.append(p, p + head_bytes);
-    p += head_bytes;
-    n -= head_bytes;
+    buf_.append(p, p + take);
+    if (head_bytes == std::string::npos) return;
+    p += take;
+    n -= take;
     parse_head();
   }
 }
@@ -211,8 +214,20 @@ void HttpParser::emit() {
 HttpResponse synthesize_response(const HttpRequest& req) {
   HttpResponse resp;
   if (req.path.rfind("/bytes/", 0) == 0) {
-    const std::size_t n =
-        static_cast<std::size_t>(std::atoll(req.path.c_str() + 7));
+    // N is digits only (from_chars into an unsigned takes no sign); a
+    // malformed N, or one a client parser would refuse, gets an error status
+    // instead of a body.
+    const char* first = req.path.data() + 7;
+    const char* last = req.path.data() + req.path.size();
+    std::size_t n = 0;
+    const auto [end, ec] = std::from_chars(first, last, n);
+    if (ec != std::errc() || end != last || n > HttpParser::kMaxContentLength) {
+      resp.status = 400;
+      resp.reason = "Bad Request";
+      resp.body = to_bytes("bad /bytes/ size: " + req.path.substr(7));
+      resp.set_header("Content-Type", "text/plain");
+      return resp;
+    }
     resp.body = periodic_bytes(n, 'a', 23);
     resp.set_header("Content-Type", "application/octet-stream");
   } else {

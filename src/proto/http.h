@@ -57,6 +57,10 @@ class HttpParser {
   // header can make the parser allocate. No workload sends bodies above a
   // few MB.
   static constexpr std::size_t kMaxContentLength = std::size_t{64} << 20;
+  // Largest head accepted, terminating "\r\n\r\n" included. A head that
+  // has not ended within this many bytes is a parse error, and its buffered
+  // bytes are freed.
+  static constexpr std::size_t kMaxHeadBytes = std::size_t{64} << 10;
 
   HttpParser(Kind kind, RequestHandler on_request, ResponseHandler on_response)
       : kind_(kind),
@@ -93,7 +97,8 @@ class HttpServer {
   ~HttpServer();
 
   // Overrides the default handler. The default serves:
-  //   /bytes/N        -> N bytes of deterministic filler
+  //   /bytes/N        -> N bytes of deterministic filler (400 if N is not
+  //                      digits or exceeds HttpParser::kMaxContentLength)
   //   anything else   -> 200 with a small text body
   void set_handler(Handler handler) { handler_ = std::move(handler); }
 

@@ -6,7 +6,7 @@
 // statmaster/json_ws surface):
 //
 //   admin                          OpsEndpoint
-//     | -- OpsSnapshotRequest -->     |  (metrics cut at a shard barrier)
+//     | -- OpsSnapshotRequest -->     |  (metrics cut at a time barrier)
 //     | <-- OpsSnapshotReply ---      |
 //     | -- OpsSessionQuery ---->      |  (one session's live state)
 //     | <-- OpsSessionInfo -----      |
@@ -38,6 +38,9 @@
 namespace pvn {
 
 constexpr Port kOpsPort = 3100;
+// Snapshot, get-alerts and get-trace requests are answered from a time
+// barrier this long after the request arrives.
+constexpr SimDuration kOpsCutDelay = milliseconds(1);
 
 enum class OpsMsgType : std::uint8_t {
   kSnapshotRequest = 1,
@@ -50,8 +53,7 @@ enum class OpsMsgType : std::uint8_t {
   kTraceDumpReply = 8,
   // SLO health plane: typed alerts from the declarative rule monitor
   // (src/ops/health.h) and stitched causal traces (telemetry/assembler.h),
-  // both captured at shard barriers so replies are byte-identical at every
-  // shard count.
+  // both captured at time barriers so a run replays byte-identically.
   kAlertsRequest = 9,
   kAlertsReply = 10,
   kTraceRequest = 11,
@@ -65,7 +67,7 @@ enum class OpsVerb : std::uint8_t {
   kWipeCache = 2,          // clear a registered cache ("" = all of them)
   kPromoteStandby = 3,     // force a deployment onto its warm standby now
   kQuarantineOverride = 4, // force a host into / out of quarantine
-  kSetSamplingRate = 5,    // flight-recorder burst sampling interval
+  kSetSamplingRate = 5,    // flight-recorder packet sampling interval
 };
 const char* to_string(OpsVerb v);
 
@@ -84,10 +86,10 @@ struct OpsMetricSample {
   bool operator==(const OpsMetricSample&) const = default;
 };
 
-// Asks for a consistent metrics cut. The endpoint arms a ShardGroup time
-// barrier at now + lookahead and captures every metric whose name starts
-// with `prefix` ("" = everything) once all shards have executed exactly the
-// events before that barrier.
+// Asks for a consistent metrics cut. The endpoint arms a simulator time
+// barrier kOpsCutDelay past the request's arrival and captures every metric
+// whose name starts with `prefix` ("" = everything) once exactly the events
+// before that barrier have run.
 struct OpsSnapshotRequest {
   std::uint32_t seq = 0;
   std::string prefix;
@@ -99,7 +101,6 @@ struct OpsSnapshotRequest {
 struct OpsSnapshotReply {
   std::uint32_t seq = 0;
   SimTime barrier_time = 0;   // the cut's simulated time
-  std::uint32_t shard_count = 0;
   std::uint64_t digest = 0;   // fnv-style digest over `samples`
   std::vector<OpsMetricSample> samples;
 
@@ -224,7 +225,6 @@ struct OpsAlertsRequest {
 struct OpsAlertsReply {
   std::uint32_t seq = 0;
   SimTime barrier_time = 0;  // the evaluation cut's simulated time
-  std::uint32_t shard_count = 0;
   std::uint64_t digest = 0;  // ops_alerts_digest over `alerts`
   std::vector<OpsAlert> alerts;
 
@@ -260,7 +260,6 @@ struct OpsTraceReply {
   std::string session;
   SimTime start = 0;
   SimTime end = 0;
-  std::uint32_t shard_count = 0;
   std::uint64_t digest = 0;  // ops_trace_digest over the fields below
   std::vector<OpsTraceSpan> spans;     // by (start, seq): causal order
   std::vector<OpsTraceSpan> critical;  // critical-path partition of [start,end]
@@ -284,12 +283,12 @@ bool same_rule(const FlowRule& a, const FlowRule& b);
 Bytes ops_wrap(OpsMsgType type, const Bytes& body);
 std::optional<std::pair<OpsMsgType, Bytes>> ops_unwrap(const Bytes& payload);
 
-// Order-sensitive digest over a snapshot's samples — the shard-consistency
+// Order-sensitive digest over a snapshot's samples — the consistency
 // fingerprint: equal digests <=> byte-equal sample lists.
 std::uint64_t ops_snapshot_digest(const std::vector<OpsMetricSample>& samples);
 
 // Same fingerprint discipline for the health plane: get-alerts and
-// get-trace replies must digest byte-identically at every shard count.
+// get-trace replies of two runs with the same seed digest-equal.
 std::uint64_t ops_alerts_digest(const std::vector<OpsAlert>& alerts);
 std::uint64_t ops_trace_digest(std::uint64_t trace_id,
                                const std::string& session, SimTime start,

@@ -2,18 +2,6 @@
 
 namespace pvn {
 
-PacketBurst PacketProcessor::process_burst(PacketBurst burst, SimTime now,
-                                           SimDuration& delay) {
-  PacketBurst out;
-  for (Packet& pkt : burst) {
-    SimDuration d = 0;
-    std::vector<Packet> emitted = process(std::move(pkt), now, d);
-    if (d > delay) delay = d;
-    for (Packet& o : emitted) out.push_back(std::move(o));
-  }
-  return out;
-}
-
 std::string to_string(const Action& action) {
   struct V {
     std::string operator()(const ActOutput& a) {
@@ -187,242 +175,6 @@ void SdnSwitch::execute(const ActionList& actions, std::size_t start,
   // Action list exhausted without output/drop: drop.
   ++stats_.dropped_rule;
   m_dropped_rule_->inc();
-}
-
-// ---------------------------------------------------------------------------
-// Burst run-to-completion path (burst window > 0; see DESIGN.md "Hot paths").
-// ---------------------------------------------------------------------------
-
-namespace {
-
-// Per-burst match cache: amortizes FlowTable lookups across a burst, which
-// typically carries a handful of flows. Keyed on every packet field lookup()
-// can read — src, dst, proto, tos, and the L4 port bytes (first four payload
-// bytes when present) — so equal keys imply an identical lookup result even
-// against prefix or wildcard rules. in_port and the table are fixed per
-// cache instance. Negative results (table miss) are cached too.
-struct BurstMatchCache {
-  struct Entry {
-    std::uint32_t src = 0;
-    std::uint32_t dst = 0;
-    std::uint32_t l4ports = 0;  // first 4 l4 bytes, 0 if absent
-    std::uint8_t proto = 0;
-    std::uint8_t tos = 0;
-    bool has_l4 = false;
-    const FlowRule* rule = nullptr;
-  };
-  static constexpr std::size_t kWays = 8;
-  Entry entries[kWays];
-  std::size_t used = 0;
-  std::size_t next_evict = 0;
-
-  static Entry key_of(const Packet& pkt) {
-    Entry e;
-    e.src = pkt.ip.src.v;
-    e.dst = pkt.ip.dst.v;
-    e.proto = static_cast<std::uint8_t>(pkt.ip.proto);
-    e.tos = pkt.ip.tos;
-    if (pkt.l4.size() >= 4) {
-      const std::uint8_t* b = pkt.l4.data();
-      e.l4ports = (static_cast<std::uint32_t>(b[0]) << 24) |
-                  (static_cast<std::uint32_t>(b[1]) << 16) |
-                  (static_cast<std::uint32_t>(b[2]) << 8) | b[3];
-      e.has_l4 = true;
-    }
-    return e;
-  }
-
-  // Looks the packet up through the cache, counting hits/misses exactly as
-  // an uncached FlowTable::lookup would.
-  const FlowRule* lookup(const FlowTable& table, const Packet& pkt,
-                         int in_port) {
-    const Entry key = key_of(pkt);
-    for (std::size_t i = 0; i < used; ++i) {
-      const Entry& e = entries[i];
-      if (e.src == key.src && e.dst == key.dst && e.l4ports == key.l4ports &&
-          e.proto == key.proto && e.tos == key.tos && e.has_l4 == key.has_l4) {
-        if (e.rule != nullptr) {
-          table.count_cached_hit(*e.rule, pkt);
-        } else {
-          table.count_cached_miss();
-        }
-        return e.rule;
-      }
-    }
-    const FlowRule* rule = table.lookup(pkt, in_port);
-    Entry e = key;
-    e.rule = rule;
-    if (used < kWays) {
-      entries[used++] = e;
-    } else {
-      entries[next_evict] = e;
-      next_evict = (next_evict + 1) % kWays;
-    }
-    return rule;
-  }
-};
-
-}  // namespace
-
-void SdnSwitch::handle_burst(PacketBurst burst, int in_port) {
-  stats_.packets_in += burst.size();
-  m_packets_in_->inc(burst.size());
-  if (pipeline_latency_ > 0) {
-    sim().schedule_after(pipeline_latency_, SimCategory::kSwitch,
-                         [this, b = std::move(burst), in_port]() mutable {
-                           run_pipeline_burst(std::move(b), in_port, 0);
-                         });
-  } else {
-    run_pipeline_burst(std::move(burst), in_port, 0);
-  }
-}
-
-void SdnSwitch::run_pipeline_burst(PacketBurst burst, int in_port,
-                                   int table_index) {
-  if (table_index >= table_count()) {
-    stats_.dropped_miss += burst.size();
-    m_dropped_miss_->inc(burst.size());
-    return;
-  }
-  const FlowTable& tbl = tables_[static_cast<std::size_t>(table_index)];
-  BurstMatchCache cache;
-  // Partition the burst into consecutive runs resolving to the same rule
-  // (order-preserving: runs execute in sequence, so the global send order
-  // matches per-packet execution exactly).
-  PacketBurst group;
-  const FlowRule* group_rule = nullptr;
-  const auto flush = [&] {
-    if (group.empty()) return;
-    PacketBurst g = std::move(group);
-    group = PacketBurst{};
-    execute_burst(group_rule->actions, 0, std::move(g), in_port);
-  };
-  for (Packet& pkt : burst) {
-    const FlowRule* rule = cache.lookup(tbl, pkt, in_port);
-    if (rule == nullptr) {
-      flush();
-      group_rule = nullptr;
-      if (table_index == 0 && default_port_) {
-        ++stats_.forwarded;
-        m_forwarded_->inc();
-        send(*default_port_, std::move(pkt));
-      } else {
-        ++stats_.dropped_miss;
-        m_dropped_miss_->inc();
-      }
-      continue;
-    }
-    if (rule != group_rule) {
-      flush();
-      group_rule = rule;
-    }
-    group.push_back(std::move(pkt));
-  }
-  flush();
-}
-
-void SdnSwitch::execute_burst(const ActionList& actions, std::size_t start,
-                              PacketBurst burst, int in_port) {
-  if (burst.empty()) return;
-  for (std::size_t i = start; i < actions.size(); ++i) {
-    const Action& action = actions[i];
-    if (const auto* out = std::get_if<ActOutput>(&action)) {
-      stats_.forwarded += burst.size();
-      m_forwarded_->inc(burst.size());
-      for (Packet& pkt : burst) send(out->port, std::move(pkt));
-      return;
-    }
-    if (std::get_if<ActDrop>(&action) != nullptr) {
-      stats_.dropped_rule += burst.size();
-      m_dropped_rule_->inc(burst.size());
-      return;
-    }
-    if (const auto* set_tos = std::get_if<ActSetTos>(&action)) {
-      for (Packet& pkt : burst) pkt.ip.tos = set_tos->tos;
-      continue;
-    }
-    if (const auto* set_dst = std::get_if<ActSetDst>(&action)) {
-      for (Packet& pkt : burst) pkt.ip.dst = set_dst->dst;
-      continue;
-    }
-    if (const auto* meter_act = std::get_if<ActMeter>(&action)) {
-      Meter* m = meter(meter_act->meter_id);
-      const SimTime now = sim().now();
-      // In-place compaction: conforming packets keep their relative order.
-      std::size_t kept = 0;
-      for (std::size_t p = 0; p < burst.size(); ++p) {
-        if (m != nullptr &&
-            m->conforms(static_cast<std::int64_t>(burst[p].size()), now)) {
-          if (kept != p) burst.pkts[kept] = std::move(burst.pkts[p]);
-          ++kept;
-        } else {
-          ++stats_.dropped_meter;
-          m_dropped_meter_->inc();
-        }
-      }
-      while (burst.size() > kept) burst.pkts.pop_back();
-      if (burst.empty()) return;
-      continue;
-    }
-    if (const auto* goto_table = std::get_if<ActGotoTable>(&action)) {
-      run_pipeline_burst(std::move(burst), in_port, goto_table->table);
-      return;
-    }
-    if (const auto* tunnel = std::get_if<ActTunnel>(&action)) {
-      if (!tunnel_encap_) {
-        stats_.dropped_rule += burst.size();
-        m_dropped_rule_->inc(burst.size());
-        return;
-      }
-      stats_.tunneled += burst.size();
-      m_tunneled_->inc(burst.size());
-      for (Packet& pkt : burst) {
-        pkt = tunnel_encap_(std::move(pkt), tunnel->gateway);
-      }
-      continue;
-    }
-    if (const auto* mbox = std::get_if<ActMbox>(&action)) {
-      const auto it = processors_.find(mbox->chain_id);
-      if (it == processors_.end()) {
-        stats_.dropped_rule += burst.size();
-        m_dropped_rule_->inc(burst.size());
-        return;
-      }
-      stats_.diverted_mbox += burst.size();
-      m_diverted_mbox_->inc(burst.size());
-      SimDuration delay = 0;
-      PacketBurst outs;
-      if (it->second->burst_capable()) {
-        outs = it->second->process_burst(std::move(burst), sim().now(), delay);
-      } else {
-        // Per-packet fallback for processors that reorder/absorb.
-        for (Packet& pkt : burst) {
-          SimDuration d = 0;
-          std::vector<Packet> emitted =
-              it->second->process(std::move(pkt), sim().now(), d);
-          if (d > delay) delay = d;
-          for (Packet& o : emitted) outs.push_back(std::move(o));
-        }
-      }
-      if (outs.empty()) return;
-      if (delay > 0) {
-        // ONE continuation event (and one action-tail copy) for the whole
-        // burst, vs one per packet on the per-packet path.
-        sim().schedule_after(delay, SimCategory::kMbox,
-                             [this, acts = actions, i, outs = std::move(outs),
-                              in_port]() mutable {
-                               execute_burst(acts, i + 1, std::move(outs),
-                                             in_port);
-                             });
-      } else {
-        execute_burst(actions, i + 1, std::move(outs), in_port);
-      }
-      return;
-    }
-  }
-  // Action list exhausted without output/drop: drop.
-  stats_.dropped_rule += burst.size();
-  m_dropped_rule_->inc(burst.size());
 }
 
 }  // namespace pvn

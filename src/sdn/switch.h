@@ -26,17 +26,6 @@ class PacketProcessor {
   virtual ~PacketProcessor() = default;
   virtual std::vector<Packet> process(Packet pkt, SimTime now,
                                       SimDuration& delay) = 0;
-
-  // Burst run-to-completion entry point: processes the whole burst and
-  // returns the merged forwarded set with ONE delay charged to the burst
-  // (packets are coalesced in time anyway — see Link's burst model). The
-  // default unbatches through process(), charging the max per-packet delay.
-  // Processors that reorder or absorb packets across calls should leave
-  // burst_capable() false so SdnSwitch keeps per-packet semantics;
-  // implementations must preserve per-flow packet order.
-  virtual bool burst_capable() const { return false; }
-  virtual PacketBurst process_burst(PacketBurst burst, SimTime now,
-                                    SimDuration& delay);
 };
 
 // Encapsulation hook (src/tunnel): wraps the packet for a tunnel gateway.
@@ -71,13 +60,6 @@ class SdnSwitch : public Node {
   void set_default_port(int port) { default_port_ = port; }
 
   void handle_packet(Packet pkt, int in_port) override;
-  // Burst run-to-completion: classifies the whole burst with a per-burst
-  // match cache and runs grouped actions to the egress links without
-  // re-entering the scheduler (one deferred event per mbox continuation
-  // instead of one per packet). Discrete outcomes — matched rules, counter
-  // totals, per-flow order — are identical to per-packet execution; meters
-  // see the burst's packets at the coalesced delivery time.
-  void handle_burst(PacketBurst burst, int in_port) override;
 
   const SwitchStats& stats() const { return stats_; }
 
@@ -89,9 +71,6 @@ class SdnSwitch : public Node {
   void run_pipeline(Packet pkt, int in_port, int table_index);
   void execute(const ActionList& actions, std::size_t start, Packet pkt,
                int in_port);
-  void run_pipeline_burst(PacketBurst burst, int in_port, int table_index);
-  void execute_burst(const ActionList& actions, std::size_t start,
-                     PacketBurst burst, int in_port);
 
   std::vector<FlowTable> tables_;
   std::map<std::string, std::unique_ptr<Meter>> meters_;

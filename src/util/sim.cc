@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 
 namespace pvn {
 
@@ -102,40 +103,6 @@ void Simulator::compact_heap() {
   std::make_heap(heap_.begin(), heap_.end(), HeapLater{});
 }
 
-SimTime Simulator::next_event_time() {
-  while (!heap_.empty()) {
-    const HeapEntry& top = heap_.front();
-    Slot& s = slots_[top.slot];
-    if (s.armed && s.gen == top.gen) return top.when;
-    // Dead entry: retire it so repeated peeks stay cheap.
-    if (s.gen == top.gen) {
-      ++s.gen;
-      s.fn.reset();
-      free_slots_.push_back(top.slot);
-    }
-    std::pop_heap(heap_.begin(), heap_.end(), HeapLater{});
-    heap_.pop_back();
-  }
-  return kNoPendingEvent;
-}
-
-std::size_t Simulator::run_window(SimTime end_exclusive) {
-  if (end_exclusive <= now_) return 0;
-  // pop_one_until is inclusive; the window bound is exclusive.
-  const SimTime deadline = end_exclusive - 1;
-  std::size_t executed = 0;
-  SimTime when;
-  EventFn fn;
-  SimCategory cat = SimCategory::kOther;
-  while (pop_one_until(deadline, when, fn, cat)) {
-    now_ = when;
-    dispatch(fn, cat);
-    fn.reset();
-    ++executed;
-  }
-  return executed;
-}
-
 bool Simulator::pop_one_until(SimTime deadline, SimTime& when_out,
                               EventFn& fn_out, SimCategory& cat_out) {
   while (!heap_.empty() && heap_.front().when <= deadline) {
@@ -179,37 +146,49 @@ void Simulator::dispatch(EventFn& fn, SimCategory cat) {
   }
 }
 
-bool Simulator::step() {
-  SimTime when;
-  EventFn fn;
-  SimCategory cat = SimCategory::kOther;
-  if (!pop_one_until(std::numeric_limits<SimTime>::max(), when, fn, cat)) {
-    return false;
-  }
-  now_ = when;
-  dispatch(fn, cat);
-  return true;
+void Simulator::add_barrier(SimTime when, EventFn fn) {
+  if (when < now_) when = now_;
+  barriers_.emplace(when, std::move(fn));
+  // A running loop must stop before the first event at or after `when`.
+  if (when <= stop_) stop_ = when - 1;
 }
 
-std::size_t Simulator::run_until(SimTime deadline) {
+std::size_t Simulator::run_to(SimTime deadline) {
   std::size_t executed = 0;
   SimTime when;
   EventFn fn;
   SimCategory cat = SimCategory::kOther;
-  while (pop_one_until(deadline, when, fn, cat)) {
-    now_ = when;
-    dispatch(fn, cat);
-    fn.reset();
-    ++executed;
+  for (;;) {
+    stop_ = deadline;
+    if (!barriers_.empty() && barriers_.begin()->first <= deadline) {
+      stop_ = barriers_.begin()->first - 1;
+    }
+    // stop_ is re-read every iteration: a barrier registered by an event
+    // lowers it mid-loop.
+    while (pop_one_until(stop_, when, fn, cat)) {
+      now_ = when;
+      dispatch(fn, cat);
+      fn.reset();
+      ++executed;
+    }
+    if (barriers_.empty() || barriers_.begin()->first > deadline) break;
+    // Every event before the earliest barrier has run and none after it:
+    // fire it, then resume (its callback may have scheduled work).
+    auto node = barriers_.extract(barriers_.begin());
+    ++barriers_fired_;
+    node.mapped()();
   }
-  if (now_ < deadline && heap_.empty()) now_ = deadline;
+  return executed;
+}
+
+std::size_t Simulator::run_until(SimTime deadline) {
+  const std::size_t executed = run_to(deadline);
+  if (now_ < deadline && live_ == 0) now_ = deadline;
   return executed;
 }
 
 std::size_t Simulator::run() {
-  std::size_t executed = 0;
-  while (step()) ++executed;
-  return executed;
+  return run_to(std::numeric_limits<SimTime>::max());
 }
 
 }  // namespace pvn

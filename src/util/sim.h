@@ -2,8 +2,8 @@
 //
 // A Simulator owns the virtual clock and a binary-heap event queue. Every
 // component in the repository (links, TCP endpoints, middlebox hosts,
-// protocol state machines) schedules work through one shared Simulator, which
-// makes whole-network runs single-threaded and deterministic.
+// protocol state machines) schedules work through one shared Simulator, so
+// whole-network runs are single-threaded and deterministic by design.
 //
 // Hot-path design (see DESIGN.md "Hot paths and performance model"):
 //   * Callbacks are stored in EventFn, a move-only callable with a 120-byte
@@ -17,19 +17,17 @@
 //   * Tie-break contract: same-time events run in schedule order (FIFO by a
 //     per-simulator sequence number). schedule_at() with `when` in the past
 //     clamps to now() and therefore runs *after* every event already queued
-//     at now() — a late event never jumps the queue. The sequence is per
-//     simulator (per shard), so multi-shard runs stay deterministic as long
-//     as cross-shard injection assigns sequences deterministically (see
-//     ShardGroup in util/shard.h).
-//
-// Parallel use: a Simulator is single-threaded. ShardGroup runs one Simulator
-// per shard under conservative-lookahead windows (run_window/next_event_time
-// below exist for that driver) with a barrier between windows.
+//     at now() — a late event never jumps the queue.
+//   * Time barriers (at_time_barrier) give observers — the ops endpoint's
+//     snapshots, the chaos auditor, periodic health windows — a cut at an
+//     exact simulated instant: every event before it has run, none at or
+//     after it has. They cost the event loop nothing: registering one lowers
+//     the run's stop time, so the loop keeps its single deadline compare.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
+#include <map>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -219,35 +217,28 @@ class Simulator {
   // already-fired/cancelled event id (both are no-ops).
   void cancel(EventId id);
 
-  // Runs events until the queue drains or the clock would pass `deadline`.
-  // Returns the number of events executed.
+  // Runs events until the queue drains or the clock would pass `deadline`,
+  // firing due time barriers on the way. Once no event is left, the clock
+  // lands on `deadline`. Returns the number of events executed.
   std::size_t run_until(SimTime deadline);
 
-  // Runs until the event queue is empty.
+  // Runs until the event queue is empty (due barriers fire on the way).
   std::size_t run();
 
-  // Executes at most one event; returns false if the queue is empty.
-  bool step();
-
-  // --- shard-window API (used by ShardGroup, util/shard.h) ---------------
-  // Sentinel returned by next_event_time() when the queue is empty.
-  static constexpr SimTime kNoPendingEvent = std::numeric_limits<SimTime>::max();
-
-  // Timestamp of the earliest pending event, or kNoPendingEvent. Reclaims
-  // cancelled entries found at the top of the heap along the way.
-  SimTime next_event_time();
-
-  // Runs every pending event with when < end_exclusive (strictly before the
-  // horizon), leaving now() at the last executed event. Events scheduled
-  // mid-window inside the horizon are executed too. Returns events executed.
-  std::size_t run_window(SimTime end_exclusive);
-
-  // Moves the clock forward to `t` without executing anything (no-op if the
-  // clock is already past `t`). ShardGroup uses this to mirror run_until's
-  // "clock lands on the deadline once drained" behavior across shards.
-  void advance_to(SimTime t) {
-    if (t > now_) now_ = t;
+  // Time barrier: `fn` runs after every event with when < `when` and before
+  // any event with when >= `when`, including events already queued at
+  // `when`. The clock is not moved: inside `fn`, now() is the time of the
+  // last event executed. Barriers with equal `when` fire in registration
+  // order. A barrier past a run's deadline stays pending for a later run,
+  // and one registered at or before now() fires right after the current
+  // event. Registration is legal from anywhere, event handlers and other
+  // barriers included.
+  template <typename F>
+  void at_time_barrier(SimTime when, F&& fn) {
+    add_barrier(when, EventFn(std::forward<F>(fn)));
   }
+  std::size_t pending_barriers() const { return barriers_.size(); }
+  std::uint64_t barriers_fired() const { return barriers_fired_; }
 
   std::size_t pending_events() const { return live_; }
   // Heap entries currently held: live events plus cancelled entries not yet
@@ -280,6 +271,10 @@ class Simulator {
   };
 
   EventId schedule_fn(SimTime when, EventFn fn, SimCategory cat);
+  void add_barrier(SimTime when, EventFn fn);
+  // The event loop behind run_until() and run(): executes events up to
+  // `deadline` and fires every barrier at or before it.
+  std::size_t run_to(SimTime deadline);
   // Pops the earliest live event with when <= deadline (reclaiming any
   // cancelled entries it passes). Returns false if there is none.
   bool pop_one_until(SimTime deadline, SimTime& when_out, EventFn& fn_out,
@@ -297,6 +292,12 @@ class Simulator {
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::size_t live_ = 0;
+  // Last event time the running loop may execute: the caller's deadline,
+  // lowered to just before the earliest pending barrier.
+  SimTime stop_ = 0;
+  // Pending barriers by time; equal times keep registration order.
+  std::multimap<SimTime, EventFn> barriers_;
+  std::uint64_t barriers_fired_ = 0;
   bool profiling_ = false;
   SimProfile profile_;
 };

@@ -152,6 +152,12 @@ struct PlantedCase {
   const char* expected_invariant;
 };
 
+// Prints the bug class only: gtest's default dumps the raw pointer bytes,
+// which differ per process under ASLR and so rename the case every build.
+void PrintTo(const PlantedCase& c, std::ostream* os) {
+  *os << to_string(c.bug);
+}
+
 class PlantedBugDetection : public ::testing::TestWithParam<PlantedCase> {};
 
 TEST_P(PlantedBugDetection, IsDetectedShrunkAndReplaysMinimal) {

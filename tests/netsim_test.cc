@@ -484,6 +484,12 @@ struct LinkTimingCase {
   int latency_ms;
 };
 
+// Prints the fields, not gtest's default raw-byte dump, which is the case's
+// ctest name and so should read as the case.
+void PrintTo(const LinkTimingCase& c, std::ostream* os) {
+  *os << c.mbps << "mbps_" << c.payload << "B_" << c.latency_ms << "ms";
+}
+
 class LinkTimingProperty : public ::testing::TestWithParam<LinkTimingCase> {};
 
 TEST_P(LinkTimingProperty, OnePacketTiming) {

@@ -3,7 +3,6 @@
 // metrics snapshots, and the packet-sampling flight recorder.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -29,17 +28,14 @@ TestbedConfig ops_config() {
   return cfg;
 }
 
-// Drives the testbed through the windowed parallel runner (required for
-// snapshot barriers to fire; plain sim().run_until never quiesces shards).
 void drive(Testbed& tb, SimDuration d) {
-  tb.net.run_parallel_until(tb.net.sim().now() + d);
+  tb.net.sim().run_until(tb.net.sim().now() + d);
 }
 
 // --- snapshots ---------------------------------------------------------------
 
 TEST(Ops, SnapshotRoundTripCarriesRegistryMetrics) {
   Testbed tb(ops_config());
-  tb.net.shards().enable_time_barriers();
   OpsClient admin(*tb.client, tb.addrs.control);
   telemetry::MetricsRegistry::global().counter("ops_test.pings").inc(7);
 
@@ -49,7 +45,6 @@ TEST(Ops, SnapshotRoundTripCarriesRegistryMetrics) {
   drive(tb, milliseconds(200));
 
   ASSERT_TRUE(reply.has_value());
-  EXPECT_EQ(reply->shard_count, 1u);
   EXPECT_GT(reply->barrier_time, 0);
   // The digest carried on the wire matches the samples carried on the wire.
   EXPECT_EQ(reply->digest, ops_snapshot_digest(reply->samples));
@@ -64,15 +59,14 @@ TEST(Ops, SnapshotRoundTripCarriesRegistryMetrics) {
 
 TEST(Ops, SnapshotBarrierLandsAfterRequestByLookahead) {
   Testbed tb(ops_config());
-  tb.net.shards().enable_time_barriers();
   OpsClient admin(*tb.client, tb.addrs.control);
   std::optional<OpsSnapshotReply> reply;
   admin.request_snapshot("", [&](const OpsSnapshotReply& r) { reply = r; });
   drive(tb, milliseconds(500));
   ASSERT_TRUE(reply.has_value());
-  // The cut is at request arrival + lookahead — past the send time.
-  EXPECT_GT(reply->barrier_time, tb.net.shards().lookahead());
-  EXPECT_EQ(tb.net.shards().barriers_fired(), 1u);
+  // The cut is at request arrival + kOpsCutDelay — past the send time.
+  EXPECT_GT(reply->barrier_time, kOpsCutDelay);
+  EXPECT_EQ(tb.net.sim().barriers_fired(), 1u);
 }
 
 // --- session introspection ---------------------------------------------------
@@ -83,7 +77,6 @@ TEST(Ops, SessionQueryJoinsDeploymentLeaseAndSpans) {
   Testbed tb(cfg);
   ASSERT_TRUE(tb.deploy(tb.standard_pvnc("alice-phone")).ok);
   tb.ops->set_scoreboard(nullptr);  // reputation defaults apply
-  tb.net.shards().enable_time_barriers();
 
   OpsClient admin(*tb.client, tb.addrs.control);
   std::optional<OpsSessionInfo> info;
@@ -106,7 +99,6 @@ TEST(Ops, SessionQueryJoinsDeploymentLeaseAndSpans) {
 
 TEST(Ops, SessionQueryForUnknownDeviceReportsNotFound) {
   Testbed tb(ops_config());
-  tb.net.shards().enable_time_barriers();
   OpsClient admin(*tb.client, tb.addrs.control);
   std::optional<OpsSessionInfo> info;
   admin.query_session("nobody", 4, [&](const OpsSessionInfo& i) { info = i; });
@@ -119,7 +111,6 @@ TEST(Ops, SessionQueryForUnknownDeviceReportsNotFound) {
 
 TEST(Ops, InjectRuleInstallsThroughControllerAndAudits) {
   Testbed tb(ops_config());
-  tb.net.shards().enable_time_barriers();
   OpsClient admin(*tb.client, tb.addrs.control);
 
   OpsReconfigRequest rq;
@@ -150,7 +141,6 @@ TEST(Ops, InjectRuleInstallsThroughControllerAndAudits) {
 
 TEST(Ops, ReconfigRetransmissionIsIdempotent) {
   Testbed tb(ops_config());
-  tb.net.shards().enable_time_barriers();
   OpsClient admin(*tb.client, tb.addrs.control);
   int wipes = 0;
   tb.ops->register_cache("dns", [&wipes] {
@@ -187,7 +177,6 @@ TEST(Ops, ForcedPromotionFlipsDeploymentToStandby) {
   Testbed tb(ops_config());
   ASSERT_TRUE(tb.deploy(tb.standard_pvnc("alice-phone")).ok);
   ASSERT_FALSE(tb.server->deployment_view("alice-phone").promoted);
-  tb.net.shards().enable_time_barriers();
 
   OpsClient admin(*tb.client, tb.addrs.control);
   OpsReconfigRequest rq;
@@ -215,7 +204,6 @@ TEST(Ops, QuarantineOverrideForcesAndClearsLatch) {
   Testbed tb(ops_config());
   HostScoreboard sb;
   tb.ops->set_scoreboard(&sb);
-  tb.net.shards().enable_time_barriers();
   OpsClient admin(*tb.client, tb.addrs.control);
   const std::string host = tb.addrs.standby.to_string();
 
@@ -241,7 +229,6 @@ TEST(Ops, QuarantineOverrideForcesAndClearsLatch) {
 
 TEST(Ops, SamplingRateVerbUpdatesTheFlightRecorder) {
   Testbed tb(ops_config());
-  tb.net.shards().enable_time_barriers();
   OpsClient admin(*tb.client, tb.addrs.control);
   OpsReconfigRequest rq;
   rq.verb = OpsVerb::kSetSamplingRate;
@@ -269,7 +256,6 @@ TEST(Ops, UnwiredVerbsFailCleanly) {
   tb.ops->set_controller(nullptr);
   tb.ops->set_deployment_server(nullptr);
   tb.ops->set_flight_recorder(nullptr);
-  tb.net.shards().enable_time_barriers();
   OpsClient admin(*tb.client, tb.addrs.control);
   for (const OpsVerb verb :
        {OpsVerb::kInjectRule, OpsVerb::kPromoteStandby,
@@ -289,8 +275,8 @@ TEST(Ops, UnwiredVerbsFailCleanly) {
 
 // Pushes `n` pings from the testbed client to the web server. Each drive
 // must cover the full client->web path (8ms access + 2ms backhaul + 10ms
-// server link): run_parallel_until does not advance the clock past pending
-// future events, so a drive shorter than the path latency delivers nothing.
+// server link): run_until does not advance the clock past pending future
+// events, so a drive shorter than the path latency delivers nothing.
 void ping(Testbed& tb, int n) {
   for (int i = 0; i < n; ++i) {
     tb.client->send_udp(tb.addrs.web, 4000, 4001, Bytes(64, 0xAB));
@@ -298,15 +284,14 @@ void ping(Testbed& tb, int n) {
   }
 }
 
-TEST(Ops, FlightRecorderSamplesEveryBurstAtIntervalOne) {
+TEST(Ops, FlightRecorderSamplesEveryPacketAtIntervalOne) {
   TestbedConfig cfg = ops_config();
   cfg.flight.sample_interval = 1;
   Testbed tb(cfg);
-  tb.net.shards().enable_time_barriers();
   ping(tb, 5);
   const FlightRecorder::Stats st = tb.flight_recorder->stats();
-  EXPECT_GT(st.bursts_seen, 0u);
-  EXPECT_EQ(st.bursts_sampled, st.bursts_seen);
+  EXPECT_GT(st.packets_seen, 0u);
+  EXPECT_EQ(st.packets_sampled, st.packets_seen);
   const std::vector<FlightSample> samples = tb.flight_recorder->samples();
   ASSERT_FALSE(samples.empty());
   // Samples are merged in (time, packet id) order and carry hop traces.
@@ -324,11 +309,10 @@ TEST(Ops, FlightRecorderIntervalZeroDisablesSampling) {
   TestbedConfig cfg = ops_config();
   cfg.flight.sample_interval = 0;
   Testbed tb(cfg);
-  tb.net.shards().enable_time_barriers();
   ping(tb, 5);
   const FlightRecorder::Stats st = tb.flight_recorder->stats();
-  EXPECT_GT(st.bursts_seen, 0u);
-  EXPECT_EQ(st.bursts_sampled, 0u);
+  EXPECT_GT(st.packets_seen, 0u);
+  EXPECT_EQ(st.packets_sampled, 0u);
   EXPECT_TRUE(tb.flight_recorder->samples().empty());
 }
 
@@ -338,7 +322,6 @@ TEST(Ops, FlightRecorderRingStaysBounded) {
   cfg.flight.ring_capacity = 8;
   cfg.flight.per_flow_cap = 1000;  // admit everything; the ring must bound
   Testbed tb(cfg);
-  tb.net.shards().enable_time_barriers();
   ping(tb, 30);
   const FlightRecorder::Stats st = tb.flight_recorder->stats();
   EXPECT_GT(st.packets_admitted, 8u);
@@ -350,7 +333,6 @@ TEST(Ops, FlightRecorderReservoirCapsHeavyFlows) {
   cfg.flight.sample_interval = 1;
   cfg.flight.per_flow_cap = 4;
   Testbed tb(cfg);
-  tb.net.shards().enable_time_barriers();
   ping(tb, 40);  // one heavy flow, sampled at every hop
   const FlightRecorder::Stats st = tb.flight_recorder->stats();
   // Algorithm R: after the cap the flow is admitted with p = cap/seen, so a
@@ -363,7 +345,6 @@ TEST(Ops, TraceDumpRoundTripsChromeJson) {
   TestbedConfig cfg = ops_config();
   cfg.flight.sample_interval = 1;
   Testbed tb(cfg);
-  tb.net.shards().enable_time_barriers();
   ping(tb, 3);
   OpsClient admin(*tb.client, tb.addrs.control);
   std::optional<OpsTraceDumpReply> dump;
@@ -374,93 +355,6 @@ TEST(Ops, TraceDumpRoundTripsChromeJson) {
   EXPECT_NE(dump->trace_json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(dump->trace_json.find("\"ph\": \"i\""), std::string::npos);
   EXPECT_NE(dump->trace_json.find("\"hops\""), std::string::npos);
-}
-
-// --- parallel: snapshot consistency across shard counts ----------------------
-
-// A 4-shard run and a 1-shard run of the same scripted workload must hand
-// the admin byte-identical metric deltas at the same barrier. (Named *Ops*
-// so the TSan CI job picks it up alongside the other parallel suites.)
-class OpsParallel : public ::testing::Test {};
-
-struct ShardedProbe {
-  bool replied = false;
-  SimTime barrier = 0;
-  std::uint64_t delta_digest = 0;
-};
-
-ShardedProbe sharded_snapshot(std::size_t shards, const std::string& tag) {
-  Network net(/*seed=*/11, shards, /*lookahead=*/milliseconds(1));
-  net.set_build_shard(0);
-  Host& ops_host = net.add_node<Host>("ops-" + tag, Ipv4Addr(10, 9, 0, 1));
-  Host& admin_host =
-      net.add_node<Host>("admin-" + tag, Ipv4Addr(10, 9, 0, 2));
-  LinkParams p;
-  p.rate = Rate::mbps(100);
-  p.latency = milliseconds(1);
-  net.connect(admin_host, ops_host, p);
-  // A second traffic pair on the last shard: its deliveries bump the link
-  // counters the snapshot must cut consistently.
-  net.set_build_shard(shards - 1);
-  Host& a = net.add_node<Host>("a-" + tag, Ipv4Addr(10, 9, 1, 1));
-  Host& b = net.add_node<Host>("b-" + tag, Ipv4Addr(10, 9, 1, 2));
-  net.connect(a, b, p);
-  b.bind_udp(7, [](Ipv4Addr, Port, Port, const Bytes&) {});
-  for (int i = 0; i < 50; ++i) {
-    net.shards().shard(shards - 1).schedule_at(
-        milliseconds(2) + i * microseconds(700), SimCategory::kWorkload,
-        [&a, &b] { a.send_udp(b.addr(), 7, 7, Bytes(100, 0x5A)); });
-  }
-  net.set_build_shard(0);
-  OpsEndpoint endpoint(ops_host);
-  OpsClient admin(admin_host, ops_host.addr());
-  net.shards().enable_time_barriers();
-
-  const std::string prefix = "netsim.link.";
-  std::map<std::pair<std::string, std::string>, std::uint64_t> base;
-  for (const telemetry::MetricSample& s :
-       telemetry::MetricsRegistry::global().snapshot().samples) {
-    if (s.name.rfind(prefix, 0) == 0) {
-      base[{s.name, s.instance}] = s.counter_value;
-    }
-  }
-
-  // The request must leave the admin host at the same simulated instant in
-  // every configuration: after run_parallel_until the clock position is
-  // shard-count-dependent (1 shard lands on the deadline, N shards on a
-  // window boundary), so the send is scripted at an absolute time instead
-  // of issued from test code between runs.
-  ShardedProbe probe;
-  std::optional<OpsSnapshotReply> reply;
-  net.shards().shard(0).schedule_at(
-      milliseconds(10), SimCategory::kPvnControl, [&admin, &prefix, &reply] {
-        admin.request_snapshot(prefix,
-                               [&reply](const OpsSnapshotReply& r) { reply = r; });
-      });
-  net.run_parallel_until(milliseconds(60));
-  net.run_parallel();  // drain so gauges read zero for the next run
-  if (!reply.has_value()) return probe;
-  probe.replied = true;
-  probe.barrier = reply->barrier_time;
-  std::vector<OpsMetricSample> deltas = reply->samples;
-  for (OpsMetricSample& s : deltas) {
-    const auto it = base.find({s.name, s.instance});
-    if (it != base.end()) s.counter_value -= it->second;
-  }
-  probe.delta_digest = ops_snapshot_digest(deltas);
-  return probe;
-}
-
-TEST_F(OpsParallel, SnapshotDeltasAgreeAcrossShardCounts) {
-  // Distinct node-name tags keep the runs' link metric instances shared:
-  // the same topology names mean the same registry cells, so the delta
-  // subtraction isolates each run's own traffic.
-  const ShardedProbe one = sharded_snapshot(1, "x");
-  const ShardedProbe four = sharded_snapshot(4, "x");
-  ASSERT_TRUE(one.replied);
-  ASSERT_TRUE(four.replied);
-  EXPECT_EQ(one.barrier, four.barrier);
-  EXPECT_EQ(one.delta_digest, four.delta_digest);
 }
 
 // --- telemetry-visible counters ----------------------------------------------

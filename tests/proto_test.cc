@@ -459,6 +459,43 @@ TEST(HttpCodec, ContentLengthAtLimitIsAccepted) {
   EXPECT_FALSE(parser.error());
 }
 
+TEST(HttpCodec, UnterminatedHeadPastTheBoundSetsError) {
+  int emitted = 0;
+  HttpParser parser(HttpParser::Kind::kRequest,
+                    [&](HttpRequest) { ++emitted; }, nullptr);
+  parser.feed(to_bytes("GET / HTTP/1.1\r\n"));
+  // 1 MiB of header bytes in 4 KiB chunks, never a blank line.
+  const Bytes chunk = to_bytes("X-Pad: " + std::string(4096 - 9, 'x') + "\r\n");
+  for (int i = 0; i < 256; ++i) parser.feed(chunk);
+  EXPECT_TRUE(parser.error());
+  parser.feed(to_bytes("\r\n"));
+  EXPECT_EQ(emitted, 0);
+}
+
+TEST(HttpCodec, HeadOfExactlyTheBoundParses) {
+  const std::string start = "GET /exact HTTP/1.1\r\nX-Pad: ";
+  const std::string end = "\r\n\r\n";
+  const std::string pad(HttpParser::kMaxHeadBytes - start.size() - end.size(),
+                        'p');
+  const Bytes wire = to_bytes(start + pad + end);
+  ASSERT_EQ(wire.size(), HttpParser::kMaxHeadBytes);
+  for (const std::size_t cut : {std::size_t{0}, wire.size() / 2,
+                                wire.size() - 1}) {
+    std::vector<std::string> paths;
+    HttpParser parser(HttpParser::Kind::kRequest,
+                      [&](HttpRequest r) { paths.push_back(r.path); },
+                      nullptr);
+    parser.feed(Bytes(wire.begin(), wire.begin() + cut));
+    parser.feed(Bytes(wire.begin() + cut, wire.end()));
+    EXPECT_FALSE(parser.error()) << cut;
+    EXPECT_EQ(paths, (std::vector<std::string>{"/exact"})) << cut;
+  }
+  // One byte more is over the bound.
+  HttpParser over(HttpParser::Kind::kRequest, nullptr, nullptr);
+  over.feed(to_bytes(start + pad + "p" + end));
+  EXPECT_TRUE(over.error());
+}
+
 // Re-serializing a parsed message reproduces its wire form exactly (the
 // parsed headers carry Content-Length, so serialize() adds nothing), which
 // makes the wire bytes a complete fingerprint of what the parser emitted.
@@ -631,6 +668,28 @@ TEST(Http, LargerDownloadsTakeLonger) {
                });
   topo.net.sim().run();
   EXPECT_GT(large_time, small_time);
+}
+
+TEST(Http, BadBytesSizeAnswersAnErrorStatus) {
+  DumbbellTopo topo(quick(), quick());
+  HttpServer server(*topo.server);
+  HttpClient client(*topo.client);
+  const std::vector<std::string> paths = {
+      "/bytes/-1", "/bytes/abc", "/bytes/67108865",
+      "/bytes/99999999999999999999"};
+  std::vector<int> statuses;
+  std::vector<bool> oks;
+  for (const std::string& path : paths) {
+    client.fetch(topo.server->addr(), 80, path,
+                 [&](const HttpResponse& r, const FetchTiming& t) {
+                   statuses.push_back(r.status);
+                   oks.push_back(t.ok);
+                 });
+  }
+  EXPECT_NO_THROW(topo.net.sim().run());
+  EXPECT_EQ(statuses, (std::vector<int>{400, 400, 400, 400}));
+  EXPECT_EQ(oks, (std::vector<bool>{false, false, false, false}));
+  EXPECT_EQ(server.requests_served(), paths.size());
 }
 
 TEST(Http, FetchFromDeadServerFails) {

@@ -339,6 +339,13 @@ struct TcpGridCase {
   std::uint64_t seed;
 };
 
+// Prints the fields, not gtest's default raw-byte dump: the dump is the
+// case's ctest name, and it would include the struct's padding bytes.
+void PrintTo(const TcpGridCase& c, std::ostream* os) {
+  *os << c.latency_ms << "ms_loss" << c.loss << "_" << c.kilobytes
+      << "KB_seed" << c.seed;
+}
+
 class TcpDeliveryProperty : public ::testing::TestWithParam<TcpGridCase> {};
 
 TEST_P(TcpDeliveryProperty, ExactlyOnceInOrderDelivery) {

@@ -163,6 +163,202 @@ TEST(Simulator, CancelledEventIdIsStaleAfterSlotReuse) {
   EXPECT_TRUE(second);
 }
 
+// --- mass-cancel churn (lease-style timer workloads) -----------------------
+
+TEST(SimulatorChurn, MassCancelKeepsHeapBounded) {
+  Simulator sim;
+  // A rotating set of armed timers, like lease renewals that are cancelled
+  // and re-armed on every heartbeat. One million churn iterations used to
+  // leave one dead heap entry each; compaction must keep the heap
+  // proportional to the live set.
+  constexpr std::size_t kLive = 512;
+  constexpr std::size_t kChurn = 1'000'000;
+  std::vector<EventId> ids(kLive, kInvalidEventId);
+  for (std::size_t i = 0; i < kLive; ++i) {
+    ids[i] = sim.schedule_at(static_cast<SimTime>(1'000'000 + i), [] {});
+  }
+  for (std::size_t i = 0; i < kChurn; ++i) {
+    const std::size_t slot = i % kLive;
+    sim.cancel(ids[slot]);
+    ids[slot] =
+        sim.schedule_at(static_cast<SimTime>(1'000'000 + i % 4096), [] {});
+    ASSERT_EQ(sim.pending_events(), kLive);  // exact, not approximate
+    // Compaction bound: at most 2x live entries (+ the small floor below
+    // which compaction never bothers to run).
+    ASSERT_LE(sim.heap_size(), 2 * kLive + 64);
+  }
+  EXPECT_EQ(sim.pending_events(), kLive);
+  std::size_t fired = sim.run();
+  EXPECT_EQ(fired, kLive);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.heap_size(), 0u);
+}
+
+TEST(SimulatorChurn, CancelAllDrainsHeap) {
+  Simulator sim;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 10'000; ++i) {
+    ids.push_back(sim.schedule_at(100 + i, [] {}));
+  }
+  for (const EventId id : ids) sim.cancel(id);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  // Compaction triggers on the way down; the heap must not retain ~10k
+  // corpses until the next run().
+  EXPECT_LE(sim.heap_size(), 64u);
+  EXPECT_EQ(sim.run(), 0u);
+}
+
+// --- tie-break contract ----------------------------------------------------
+
+TEST(SimulatorTieBreak, SameTimeEventsRunInScheduleOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(10, [&] { order.push_back(1); });
+  sim.schedule_at(10, [&] { order.push_back(2); });
+  sim.schedule_at(5, [&] { order.push_back(0); });
+  sim.schedule_at(10, [&] { order.push_back(3); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(SimulatorTieBreak, ScheduleAtInPastClampsAndNeverJumpsTheQueue) {
+  Simulator sim;
+  std::vector<int> order;
+  // Event A (t=10) schedules X at t=5 — in the past. X must clamp to now()
+  // and run AFTER B, which was already queued at t=10 before A executed.
+  sim.schedule_at(10, [&] {
+    order.push_back(1);
+    sim.schedule_at(5, [&] {
+      order.push_back(3);
+      EXPECT_EQ(sim.now(), 10);  // clamped, the clock never rewinds
+    });
+  });
+  sim.schedule_at(10, [&] { order.push_back(2); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(sim.now(), 10);
+}
+
+// --- time barriers -----------------------------------------------------------
+
+// Records the run order of events (by id) and barriers (by -id).
+struct OrderLog {
+  std::vector<int> order;
+  auto event(int id) {
+    return [this, id] { order.push_back(id); };
+  }
+  auto barrier(int id) {
+    return [this, id] { order.push_back(-id); };
+  }
+};
+
+TEST(SimulatorBarrier, FiresAfterEarlierEventsAndBeforeLaterOnes) {
+  Simulator sim;
+  OrderLog log;
+  sim.schedule_at(5, log.event(5));
+  sim.schedule_at(10, log.event(10));
+  sim.schedule_at(15, log.event(15));
+  SimTime clock_at_barrier = -1;
+  sim.at_time_barrier(10, [&] {
+    log.order.push_back(-1);
+    clock_at_barrier = sim.now();
+  });
+  EXPECT_EQ(sim.pending_barriers(), 1u);
+  sim.run_until(100);
+  // The event already queued at the barrier's time runs after it.
+  EXPECT_EQ(log.order, (std::vector<int>{5, -1, 10, 15}));
+  // The clock is not moved to the barrier: it reads the last event's time.
+  EXPECT_EQ(clock_at_barrier, 5);
+  EXPECT_EQ(sim.pending_barriers(), 0u);
+  EXPECT_EQ(sim.barriers_fired(), 1u);
+}
+
+TEST(SimulatorBarrier, EqualTimesFireInRegistrationOrder) {
+  Simulator sim;
+  OrderLog log;
+  sim.schedule_at(20, log.event(20));
+  sim.at_time_barrier(20, log.barrier(2));
+  sim.at_time_barrier(10, log.barrier(1));
+  sim.at_time_barrier(20, log.barrier(3));
+  sim.at_time_barrier(20, log.barrier(4));
+  sim.run();
+  EXPECT_EQ(log.order, (std::vector<int>{-1, -2, -3, -4, 20}));
+}
+
+TEST(SimulatorBarrier, PastTheDeadlineStaysPending) {
+  Simulator sim;
+  OrderLog log;
+  sim.schedule_at(10, log.event(10));
+  sim.schedule_at(60, log.event(60));
+  sim.at_time_barrier(51, log.barrier(1));
+  sim.run_until(50);
+  EXPECT_EQ(log.order, (std::vector<int>{10}));
+  EXPECT_EQ(sim.pending_barriers(), 1u);
+  sim.run_until(100);
+  EXPECT_EQ(log.order, (std::vector<int>{10, -1, 60}));
+
+  // With no event left, the clock still lands on the deadline and a later
+  // barrier waits for a run that reaches it.
+  sim.at_time_barrier(500, log.barrier(2));
+  sim.run_until(200);
+  EXPECT_EQ(sim.now(), 200);
+  EXPECT_EQ(sim.pending_barriers(), 1u);
+  sim.run_until(500);
+  EXPECT_EQ(log.order, (std::vector<int>{10, -1, 60, -2}));
+}
+
+TEST(SimulatorBarrier, RegisteredFromAnEventHonoursALaterDeadline) {
+  Simulator sim;
+  OrderLog log;
+  for (int t = 10; t <= 100; t += 10) sim.schedule_at(t, log.event(t));
+  // While run_until(1000) is executing, the event at 30 arms a barrier at 55:
+  // the running loop must stop for it between the events at 50 and 60.
+  sim.schedule_at(30, [&] { sim.at_time_barrier(55, log.barrier(1)); });
+  EXPECT_EQ(sim.run_until(1000), 11u);
+  EXPECT_EQ(log.order,
+            (std::vector<int>{10, 20, 30, 40, 50, -1, 60, 70, 80, 90, 100}));
+}
+
+TEST(SimulatorBarrier, RegisteredAtOrBeforeNowFiresAfterTheCurrentEvent) {
+  Simulator sim;
+  OrderLog log;
+  sim.schedule_at(10, [&] {
+    log.order.push_back(1);
+    sim.at_time_barrier(5, log.barrier(1));
+  });
+  sim.schedule_at(10, log.event(2));
+  sim.run();
+  EXPECT_EQ(log.order, (std::vector<int>{1, -1, 2}));
+}
+
+TEST(SimulatorBarrier, CallbackWorkRunsInTimeOrder) {
+  Simulator sim;
+  OrderLog log;
+  sim.schedule_at(10, log.event(10));
+  sim.schedule_at(30, log.event(30));
+  sim.at_time_barrier(20, [&] {
+    log.order.push_back(-1);
+    // Work scheduled before the next barrier runs before it; a barrier
+    // registered at the same time fires next.
+    sim.schedule_at(25, log.event(25));
+    sim.at_time_barrier(20, log.barrier(2));
+    sim.at_time_barrier(28, log.barrier(3));
+  });
+  sim.run();
+  EXPECT_EQ(log.order, (std::vector<int>{10, -1, -2, 25, -3, 30}));
+  EXPECT_EQ(sim.barriers_fired(), 3u);
+}
+
+TEST(SimulatorBarrier, RunFiresBarriersPastTheLastEvent) {
+  Simulator sim;
+  OrderLog log;
+  sim.schedule_at(10, log.event(10));
+  sim.at_time_barrier(1000, log.barrier(1));
+  EXPECT_EQ(sim.run(), 1u);  // barriers are not counted as events
+  EXPECT_EQ(log.order, (std::vector<int>{10, -1}));
+  EXPECT_EQ(sim.now(), 10);
+}
+
 // --- EventFn -----------------------------------------------------------------
 
 TEST(EventFn, InvokesInlineAndHeapCallables) {
